@@ -12,8 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,7 +52,6 @@ class RunConfig:
     relaxed: bool = False
     no_timestamp: bool = False
     sweep_list: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def _tolerances(cfg: RunConfig) -> dynamics.Tolerances:
@@ -179,8 +177,7 @@ def _cmd_verify_hopf(cfg: RunConfig) -> int:
     return 0 if report["pass"] else 1
 
 
-def _sweep_row(args) -> dict:
-    n, p, k, relaxed = args
+def _sweep_row(n: int, p: int, k: int, relaxed: bool) -> dict:
     params = validate_params(n, p, k, relaxed=relaxed)
     if params.stability is Stability.TYPE_I:
         cert = dynamics.barrier_certificate_A3(params)
@@ -209,12 +206,10 @@ def _cmd_sweep(cfg: RunConfig) -> int:
                 triples.append(tuple(int(v) for v in parts[:3]))
     else:
         triples = SWEEP_DEFAULT
-    work = [(n, p, k, cfg.relaxed) for (n, p, k) in triples]
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_sweep_row, work))
-    else:
-        rows = [_sweep_row(w) for w in work]
+        print("loclab: --jobs is deprecated and ignored; the sweep runs serially",
+              file=sys.stderr)
+    rows = [_sweep_row(n, p, k, cfg.relaxed) for (n, p, k) in triples]
     header = ["n", "p", "k", "type", "phi0", "cos_alpha", "volume_ratio",
               "slope_W", "verdict"]
     if cfg.format == "csv":
@@ -278,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--phi-boundary", dest="phi_boundary")
     ap.add_argument("--out", dest="output_dir")
     ap.add_argument("--format", choices=["json", "csv"])
-    ap.add_argument("--jobs", type=int)
+    ap.add_argument("--jobs", type=int, help="deprecated; sweeps run serially")
     ap.add_argument("--relaxed", action="store_true", default=None)
     ap.add_argument("--no-timestamp", action="store_true", default=None,
                     dest="no_timestamp")

@@ -57,26 +57,21 @@ def _find_crossings(orbit: Orbit, level: float, refine: int = 8) -> list[float]:
     """All t with phi(t) = level, located by root-finding on the dense output.
 
     Each solver step is subdivided so that sign changes inside long steps are
-    not missed; duplicate roots from adjacent subintervals are merged.
+    not missed; the whole grid is read in one interpolant call and ``brentq``
+    runs only on the bracketing subintervals.  Duplicate roots from adjacent
+    subintervals are merged.
     """
     ts = orbit.t
     if len(ts) < 2:
         return []
-    roots: list[float] = []
-    for i in range(len(ts) - 1):
-        grid = np.linspace(ts[i], ts[i + 1], refine + 1)
-        vals = np.array([orbit.point_at(t).phi - level for t in grid])
-        for j in range(refine):
-            a, b = grid[j], grid[j + 1]
-            fa, fb = vals[j], vals[j + 1]
-            if fa == 0.0:
-                roots.append(float(a))
-            elif fa * fb < 0.0:
-                roots.append(
-                    float(brentq(lambda t: orbit.point_at(t).phi - level, a, b,
-                                 xtol=1e-13, rtol=1e-15))
-                )
-    if vals[-1] == 0.0:
+    grid = np.linspace(ts[:-1], ts[1:], refine + 1, axis=1)
+    vals = orbit.interpolant(grid.ravel())[0].reshape(grid.shape) - level
+    fa, fb = vals[:, :-1], vals[:, 1:]
+    roots = [float(a) for a in grid[:, :-1][fa == 0.0]]
+    for i, j in zip(*np.nonzero(fa * fb < 0.0)):
+        roots.append(float(brentq(lambda t: orbit.point_at(t).phi - level, grid[i, j],
+                                  grid[i, j + 1], xtol=1e-13, rtol=1e-15)))
+    if vals[-1, -1] == 0.0:
         roots.append(float(ts[-1]))
     merged: list[float] = []
     for t in sorted(roots):
@@ -128,10 +123,12 @@ def dirichlet_multiplicity(
     the fitted geometric decay rate.  The Lipschitz cone solution existing
     exactly at phi0 is flagged separately; it is not an orbit crossing.
     """
-    if orbit.terminal is not Terminal.CONVERGED_TO_P1:
-        raise NotConverged(f"orbit terminal is {orbit.terminal.value}")
+    if not math.isfinite(phi_boundary):
+        raise ValueError(f"phi_boundary must be finite, got {phi_boundary}")
     if phi_boundary < 0:
         raise ValueError("phi_boundary must be nonnegative")
+    if orbit.terminal is not Terminal.CONVERGED_TO_P1:
+        raise NotConverged(f"orbit terminal is {orbit.terminal.value}")
 
     phi0 = params.phi0
     phi1, phi2 = _phi_extrema(orbit, params)

@@ -20,6 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebvander
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
@@ -66,26 +67,28 @@ class Terminal(Enum):
     MAX_TIME_REACHED = "MaxTimeReached"
 
 
-def f1(phi: float, params: LomseParams) -> float:
+def f1(phi, params: LomseParams):
     """(lambda^2-1) p / (1 + lambda^2 phi^2) - (n - p); vanishes at phi0."""
-    lam2 = float(params.lambda2)
+    lam2 = params.lambda2_float
     return (lam2 - 1.0) * params.p / (1.0 + lam2 * phi * phi) - (params.n - params.p)
 
 
-def f2(phi: float, params: LomseParams) -> float:
+def f2(phi, params: LomseParams):
     """(n - p) + p / (1 + lambda^2 phi^2); strictly positive."""
-    lam2 = float(params.lambda2)
+    lam2 = params.lambda2_float
     return params.n - params.p + params.p / (1.0 + lam2 * phi * phi)
 
 
 def _f1_prime(phi: float, params: LomseParams) -> float:
-    lam2 = float(params.lambda2)
+    lam2 = params.lambda2_float
     denom = 1.0 + lam2 * phi * phi
     return -(lam2 - 1.0) * params.p * 2.0 * lam2 * phi / (denom * denom)
 
 
-def vector_field(point: PhasePoint, params: LomseParams) -> tuple[float, float]:
-    """The field X = (X1, X2); exactly antisymmetric under (phi,psi) -> -(phi,psi)."""
+def vector_field(point: PhasePoint, params: LomseParams) -> tuple:
+    """The field X = (X1, X2); exactly antisymmetric under (phi,psi) -> -(phi,psi).
+    ``point`` may hold arrays (so may ``phi`` in f1, f2): each element then
+    gets exactly the value of the scalar call."""
     phi, psi = point.phi, point.psi
     s = phi + psi
     x2 = -psi - (f2(phi, params) * psi - f1(phi, params) * phi) * (1.0 + s * s)
@@ -101,6 +104,13 @@ def seed_unstable(params: LomseParams, epsilon: float = 1e-8) -> PhasePoint:
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return PhasePoint(phi=epsilon, psi=epsilon * (params.k - 1), t=0.0)
+
+
+# The dense output of one solver step is a degree-7 polynomial: its values at
+# 9 Chebyshev nodes of the step (scaled to u in [-1, 1]) recover it exactly, and
+# _CHEB_DIFF maps them to the Chebyshev coefficients of its derivative d/du.
+_CHEB_U = np.cos(np.pi * np.arange(9) / 8)
+_CHEB_DIFF = chebder(np.linalg.inv(chebvander(_CHEB_U, 8)))
 
 
 @dataclass(frozen=True)
@@ -120,24 +130,26 @@ class Orbit:
         y = self.interpolant(t)
         return PhasePoint(phi=float(y[0]), psi=float(y[1]), t=float(t))
 
-    def psi_t_at(self, t: float) -> float:
+    def psi_t_at(self, t):
         """d(psi)/dt recovered by exact differentiation of the dense-output
         segment polynomial (not by substituting the vector field, which would
-        make downstream residual checks vacuous)."""
+        make downstream residual checks vacuous).  ``t`` may be a 1-D array:
+        psi is read at the nodes of all its segments in one interpolant call."""
+        tq = np.atleast_1d(np.asarray(t, dtype=float))
         ts = self.interpolant.ts
-        i = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
-        ta, tb = ts[i], ts[i + 1]
-        if tb <= ta:
+        seg = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
+        segs, which = np.unique(seg, return_inverse=True)
+        ta, tb = ts[segs], ts[segs + 1]
+        if np.any(tb <= ta):
             raise NonFiniteState("degenerate interpolation segment")
-        # the per-step interpolant is a degree-7 polynomial: 9 Chebyshev
-        # nodes recover it exactly, in the scaled variable for conditioning
-        u = np.cos(np.pi * np.arange(9) / 8)
-        tt = 0.5 * (ta + tb) + 0.5 * (tb - ta) * u
-        psis = np.array([self.interpolant(x)[1] for x in tt])
-        coeffs = np.polyfit(u, psis, 8)
-        dcoeffs = np.polyder(coeffs)
-        u0 = (2.0 * t - (ta + tb)) / (tb - ta)
-        return float(np.polyval(dcoeffs, u0)) * 2.0 / (tb - ta)
+        nodes = 0.5 * (ta + tb)[:, None] + 0.5 * (tb - ta)[:, None] * _CHEB_U
+        psis = self.interpolant(nodes.ravel())[1].reshape(nodes.shape)
+        # row sums, not matmul: a point's value must not depend on the batch
+        dcoef = np.sum(psis[:, None, :] * _CHEB_DIFF, axis=2)[which]
+        ta, tb = ta[which], tb[which]
+        u0 = (2.0 * tq - (ta + tb)) / (tb - ta)
+        out = np.sum(chebvander(u0, 7) * dcoef, axis=1) * 2.0 / (tb - ta)
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
@@ -167,7 +179,9 @@ def integrate_orbit(
     cap_psi = max(5.0 * phi0, 10.0)
 
     def rhs(t, y):
-        return vector_field(PhasePoint(y[0], y[1], t), params)
+        # Python floats: the same IEEE arithmetic as numpy scalars, faster
+        phi, psi = y.tolist()
+        return vector_field(PhasePoint(phi, psi, t), params)
 
     def ev_psi_zero(t, y):
         return y[1]
@@ -258,18 +272,22 @@ def oscillation_record(orbit: Orbit) -> tuple[list[float], list[float]]:
     return [e.t for e in evs], [e.point.phi for e in evs]
 
 
-def ode1_residual(
-    rho: float, rho_r: float, rho_rr: float, r: float, params: LomseParams
-) -> float:
-    """Left side of the radial minimal-graph equation at one sample."""
-    n, p = params.n, params.p
-    lam2 = float(params.lambda2)
+def radial_residual(rho, rho_r, rho_rr, r, spectrum):
+    """Left side of the radial minimal-graph equation, rho_rr / (1 + rho_r^2)
+    + sum_j m_j (rho_r/r - l2_j rho/r^2) / (1 + l2_j (rho/r)^2), for squared
+    singular values l2_j with multiplicities m_j given as ``spectrum`` pairs
+    (l2_j, m_j).  All arguments may be arrays that broadcast together."""
     q = rho / r
-    return (
-        rho_rr / (1.0 + rho_r * rho_r)
-        + (n - p) * rho_r / r
-        + p * (rho_r / r - lam2 * rho / (r * r)) / (1.0 + lam2 * q * q)
-    )
+    out = rho_rr / (1.0 + rho_r * rho_r)
+    for l2, m in spectrum:
+        out = out + m * (rho_r / r - l2 * rho / (r * r)) / (1.0 + l2 * q * q)
+    return out
+
+
+def ode1_residual(rho, rho_r, rho_rr, r, params: LomseParams):
+    """The radial equation of an (n, p, k) LOMSE: lambda^2 (p times), 0 (n-p times)."""
+    spectrum = [(0.0, params.n - params.p), (params.lambda2_float, params.p)]
+    return radial_residual(rho, rho_r, rho_rr, r, spectrum)
 
 
 @dataclass(frozen=True)
@@ -320,6 +338,21 @@ class Profile:
         psi = self.orbit.point_at(t).psi
         return (self.orbit.psi_t_at(t) + psi) / r
 
+    def values_at(self, r) -> tuple[np.ndarray, ...]:
+        """(rho, rho_r, rho_rr) at a 1-D array of radii: the array form of the
+        three accessors above, with two interpolant calls."""
+        r = np.asarray(r, dtype=float)
+        k, c, rr = self.params.k, self._c_ext, np.maximum(r, 0.0)
+        vals = np.array([c * rr**k, c * k * rr ** (k - 1),
+                         c * k * (k - 1) * rr ** (k - 2)])
+        vals[:, r <= 0.0] = 0.0
+        on = r >= self.r_min
+        if np.any(on):
+            t = np.log(np.minimum(r[on], self.r_max))
+            phi, psi = self.orbit.interpolant(t)
+            vals[:, on] = r[on] * phi, phi + psi, (self.orbit.psi_t_at(t) + psi) / r[on]
+        return tuple(vals)
+
 
 def extract_profile(orbit: Orbit, params: LomseParams) -> Profile:
     """Convert a converged orbit into the profile rho(r) = e^t phi(t).
@@ -335,11 +368,10 @@ def extract_profile(orbit: Orbit, params: LomseParams) -> Profile:
     r = np.exp(t)
     rho = r * orbit.phi
     rho_r = orbit.phi + orbit.psi
-    residuals = np.empty_like(rho)
-    residuals[0] = residuals[-1] = 0.0
-    for i in range(1, len(t) - 1):
-        rho_rr = (orbit.psi_t_at(t[i]) + orbit.psi[i]) / r[i]
-        residuals[i] = ode1_residual(rho[i], rho_r[i], rho_rr, r[i], params)
+    residuals = np.zeros_like(rho)
+    if len(t) > 2:
+        rho_rr = (orbit.psi_t_at(t[1:-1]) + orbit.psi[1:-1]) / r[1:-1]
+        residuals[1:-1] = ode1_residual(rho[1:-1], rho_r[1:-1], rho_rr, r[1:-1], params)
 
     # leading-order fit: while phi is still tiny the orbit is linear and
     # log rho vs log r has slope k
@@ -506,6 +538,20 @@ def _F_spiral(s: float) -> float:
     )
 
 
+def _quarter_strip_max(params: LomseParams, m2: int) -> float:
+    """Max of Y2 + X2 over an m2 x m2 grid of the quarter strip
+    phi_th <= phi <= 3 phi0, 0 < psi <= 3 phi0, with one array evaluation
+    of the field; negative means no limit cycle crosses the strip."""
+    n, p, phi0 = params.n, params.p, params.phi0
+    phi_th = math.sqrt((3 * p - n - 1) / (3 * (n - p)))
+    phi, psi = np.meshgrid(phi_th + (3.0 * phi0 - phi_th) * np.arange(m2) / (m2 - 1),
+                           3.0 * phi0 * np.arange(1, m2 + 1) / m2, indexing="ij")
+    _, x2 = vector_field(PhasePoint(phi, psi), params)
+    y2 = -psi - (f2(phi, params) * psi + f1(phi, params) * phi) * (
+        1.0 + (phi - psi) ** 2)
+    return float(np.max(y2 + x2))
+
+
 def barrier_certificate_A4(
     params: LomseParams, grid_resolution: int = 2048
 ) -> BarrierCertificate:
@@ -519,8 +565,6 @@ def barrier_certificate_A4(
     """
     if params.stability is not Stability.TYPE_II:
         raise WrongCase(f"{params} is TypeI; use barrier_certificate_A3")
-    n, p = params.n, params.p
-    phi0 = params.phi0
 
     s = Fraction(1, 5)
     F_exact = (
@@ -539,18 +583,7 @@ def barrier_certificate_A4(
     margin_b = _barrier_inequality_margin(params, g, g_prime, grid_resolution)
     margin_a = _bottom_edge_margin(params, grid_resolution)
 
-    phi_th = math.sqrt((3 * p - n - 1) / (3 * (n - p)))
-    m2 = max(100, int(math.isqrt(grid_resolution * 5)))
-    worst_lem = -math.inf
-    for i in range(m2):
-        phi = phi_th + (3.0 * phi0 - phi_th) * i / (m2 - 1)
-        for j in range(1, m2 + 1):
-            psi = 3.0 * phi0 * j / m2
-            _, x2 = vector_field(PhasePoint(phi, psi), params)
-            y2 = -psi - (f2(phi, params) * psi + f1(phi, params) * phi) * (
-                1.0 + (phi - psi) ** 2
-            )
-            worst_lem = max(worst_lem, y2 + x2)
+    worst_lem = _quarter_strip_max(params, max(100, math.isqrt(grid_resolution * 5)))
 
     checks = [
         _signed_check("F(1/5) - 32/27 exact", F_exact - Fraction(32, 27), "==0"),

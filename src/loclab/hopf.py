@@ -16,43 +16,45 @@ from dataclasses import dataclass
 import numpy as np
 import sympy
 
-from .dynamics import Profile, ode1_residual
+from .dynamics import Profile, ode1_residual, radial_residual
 from .errors import NotOnSphere
 from .params import LomseParams, validate_params
 
 SPHERE_TOL = 1e-9
 
 
-def _check_unit(x: np.ndarray) -> np.ndarray:
+def _check_unit(x) -> np.ndarray:
+    """A 4-vector, or a stack of them along the last axis, on the unit sphere."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (4,):
-        raise NotOnSphere(f"expected a 4-vector, got shape {x.shape}")
-    if abs(np.linalg.norm(x) - 1.0) > SPHERE_TOL:
-        raise NotOnSphere(f"|x| = {np.linalg.norm(x)!r} is not 1 within {SPHERE_TOL}")
+    if x.ndim == 0 or x.shape[-1] != 4:
+        raise NotOnSphere(f"expected 4-vectors, got shape {x.shape}")
+    norms = np.linalg.norm(x, axis=-1)
+    if np.any(np.abs(norms - 1.0) > SPHERE_TOL):
+        raise NotOnSphere(f"|x| = {norms!r} is not 1 within {SPHERE_TOL}")
     return x
 
 
 def hopf_map(x) -> np.ndarray:
-    """The Hopf map S^3 -> S^2 in quadratic coordinates."""
-    x1, x2, x3, x4 = _check_unit(x)
-    return np.array(
+    """The Hopf map S^3 -> S^2 in quadratic coordinates; ``x`` is a 4-vector
+    or a stack of them along the last axis."""
+    x1, x2, x3, x4 = np.moveaxis(_check_unit(x), -1, 0)
+    return np.stack(
         [
             2.0 * (x1 * x3 + x2 * x4),
             2.0 * (x2 * x3 - x1 * x4),
             x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4,
-        ]
+        ],
+        axis=-1,
     )
 
 
-def _ambient_jacobian(x: np.ndarray) -> np.ndarray:
-    x1, x2, x3, x4 = x
-    return 2.0 * np.array(
-        [
-            [x3, x4, x1, x2],
-            [-x4, x3, x2, -x1],
-            [x1, x2, -x3, -x4],
-        ]
-    )
+def _tangent_jacobian(x: np.ndarray) -> np.ndarray:
+    """Ambient Jacobian of the quadratic polynomials projected onto T_x S^3,
+    shape (..., 3, 4) for x of shape (..., 4)."""
+    x1, x2, x3, x4 = np.moveaxis(x, -1, 0)
+    rows = [[x3, x4, x1, x2], [-x4, x3, x2, -x1], [x1, x2, -x3, -x4]]
+    ambient = 2.0 * np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    return ambient @ (np.eye(4) - x[..., :, None] * x[..., None, :])
 
 
 @dataclass(frozen=True)
@@ -70,32 +72,38 @@ def singular_value_sample(x) -> SphereSample:
     T_x S^3 and decomposed directly.  (An eigensolve of the 3x3 Gram matrix
     gives the same spectrum but loses half the digits of the zero singular
     value to the squaring, which would not meet the 1e-9 constancy bound.)
+    ``x`` may be a stack of points (N, 4): one batched SVD then gives every
+    field with a leading axis of length N.
     """
     x = _check_unit(x)
-    fx = hopf_map(x)
-    jac = _ambient_jacobian(x) @ (np.eye(4) - np.outer(x, x))
+    jac = _tangent_jacobian(x)
     sv = np.linalg.svd(jac, compute_uv=False)
-    return SphereSample(x=x, fx=fx, jacobian=jac, singular_values=sv)
+    return SphereSample(x=x, fx=hopf_map(x), jacobian=jac, singular_values=sv)
+
+
+def _los_residual(sv: np.ndarray, theta: float):
+    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+    return np.sum(1.0 / (c2 + s2 * sv**2), axis=-1) - 3.0
 
 
 def los_condition_b(x, theta: float) -> float:
     """Residual of the LOS angle condition sum_j 1/(cos^2 t + sin^2 t l_j^2) = n."""
     if not 0.0 < theta < math.pi / 2:
         raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
-    sv = singular_value_sample(x).singular_values
-    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
-    return float(np.sum(1.0 / (c2 + s2 * sv**2))) - 3.0
+    return float(_los_residual(singular_value_sample(x).singular_values, theta))
 
 
 def los_angle_root(x, tol: float = 1e-10) -> float:
-    """Unique root of the LOS condition in (0, pi/2), by bisection."""
+    """Unique root of the LOS condition in (0, pi/2), by bisection on the
+    singular values computed once."""
+    sv = singular_value_sample(x).singular_values
     # at theta -> 0+ the residual vanishes quadratically and underflows;
     # start the bracket where the sign is still representable
     lo, hi = 1e-3, math.pi / 2 - 1e-6
-    flo = los_condition_b(x, lo)
+    flo = _los_residual(sv, lo)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        fm = los_condition_b(x, mid)
+        fm = _los_residual(sv, mid)
         if (flo > 0) == (fm > 0):
             lo, flo = mid, fm
         else:
@@ -103,60 +111,43 @@ def los_angle_root(x, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def _eq_ode_residual(
-    rho: float, rho_r: float, rho_rr: float, r: float, sv: np.ndarray
-) -> float:
-    out = rho_rr / (1.0 + rho_r * rho_r)
-    for lam in sv:
-        l2 = float(lam) ** 2
-        out += (rho_r / r - l2 * rho / (r * r)) / (1.0 + l2 * (rho / r) ** 2)
-    return out
+def _general_residuals(profile: Profile, x, n_radii: int):
+    """The profile at ``n_radii`` log-spaced radii, read once, and the general
+    equation's residual there: a row per point of ``x``, a column per radius."""
+    radii = np.geomspace(profile.r_min, profile.r_max, n_radii)
+    if isinstance(profile, Profile):
+        values = profile.values_at(radii)
+    else:  # any object with the scalar accessors, read point by point
+        values = tuple(np.array([f(float(r)) for r in radii])
+                       for f in (profile.rho_at, profile.rho_r_at, profile.rho_rr_at))
+    sv2 = singular_value_sample(np.atleast_2d(x)).singular_values ** 2
+    gen = radial_residual(*values, radii, [(l2[:, None], 1) for l2 in sv2.T])
+    return gen, values, radii
 
 
-def general_ode_residual(
-    profile: Profile, x, n_radii: int = 20
-) -> float:
+def general_ode_residual(profile: Profile, x, n_radii: int = 20) -> float:
     """Max absolute residual of the general minimality equation along the
     profile, with singular values sampled pointwise at x instead of taken
     from the closed form."""
-    sv = singular_value_sample(x).singular_values
-    radii = np.geomspace(profile.r_min, profile.r_max, n_radii)
-    worst = 0.0
-    for r in radii:
-        res = _eq_ode_residual(
-            profile.rho_at(r), profile.rho_r_at(r), profile.rho_rr_at(r), float(r), sv
-        )
-        worst = max(worst, abs(res))
-    return worst
+    gen, _, _ = _general_residuals(profile, x, n_radii)
+    return float(np.max(np.abs(gen)))
 
 
-def general_vs_lomse_deviation(
-    profile: Profile, params: LomseParams, x, n_radii: int = 20
-) -> float:
+def general_vs_lomse_deviation(profile: Profile, params: LomseParams, x,
+                               n_radii: int = 20) -> float:
     """Max pointwise gap between the general equation (sampled singular
     values) and the reduced one (constant lambda); zero when the singular
-    values are genuinely constant."""
-    sv = singular_value_sample(x).singular_values
-    radii = np.geomspace(profile.r_min, profile.r_max, n_radii)
-    worst = 0.0
-    for r in radii:
-        rho = profile.rho_at(r)
-        rho_r = profile.rho_r_at(r)
-        rho_rr = profile.rho_rr_at(r)
-        gen = _eq_ode_residual(rho, rho_r, rho_rr, float(r), sv)
-        red = ode1_residual(rho, rho_r, rho_rr, float(r), params)
-        worst = max(worst, abs(gen - red))
-    return worst
+    values are genuinely constant.  ``x`` is one 4-vector or a stack of them;
+    the profile is read once for all of them."""
+    gen, values, radii = _general_residuals(profile, x, n_radii)
+    red = ode1_residual(*values, radii, params)
+    return float(np.max(np.abs(gen - red)))
 
 
-def ode4_residual(rho: float, rho_r: float, rho_rr: float, r: float, m: int = 2) -> float:
-    """The Hopf-symmetric form of the radial equation (parameter m)."""
-    q = rho / r
-    return (
-        rho_rr / (1.0 + rho_r * rho_r)
-        + (m - 1) * rho_r / r
-        + m * (rho_r / r - 4.0 * rho / (r * r)) / (1.0 + 4.0 * q * q)
-    )
+def ode4_residual(rho, rho_r, rho_rr, r, m: int = 2):
+    """The Hopf-symmetric form of the radial equation (parameter m): squared
+    singular values 4 with multiplicity m and 0 with multiplicity m - 1."""
+    return radial_residual(rho, rho_r, rho_rr, r, [(0.0, m - 1), (4.0, m)])
 
 
 def harmonic_degree_check() -> dict:
@@ -207,32 +198,17 @@ def hopf_verify_report(
     checks = []
 
     def add(name: str, deviation: float, tol: float):
-        checks.append(
-            {
-                "name": name,
-                "max_deviation": float(deviation),
-                "tolerance": tol,
-                "pass": bool(deviation < tol),
-            }
-        )
+        checks.append({"name": name, "max_deviation": float(deviation),
+                       "tolerance": tol, "pass": bool(deviation < tol)})
 
     xs = _random_unit_vectors(n_samples, seed)
-    sv_dev = 0.0
-    out_dev = 0.0
-    for x in xs:
-        s = singular_value_sample(x)
-        sv_dev = max(
-            sv_dev,
-            abs(s.singular_values[0] - 2.0),
-            abs(s.singular_values[1] - 2.0),
-            abs(s.singular_values[2]),
-        )
-        out_dev = max(out_dev, abs(np.linalg.norm(s.fx) - 1.0))
-    add("image on unit sphere", out_dev, 1e-12)
-    add("singular values (2,2,0)", sv_dev, 1e-9)
+    s = singular_value_sample(xs)
+    image_dev = np.abs(np.linalg.norm(s.fx, axis=1) - 1.0)
+    add("image on unit sphere", np.max(image_dev), 1e-12)
+    add("singular values (2,2,0)", np.max(np.abs(s.singular_values - [2, 2, 0])), 1e-9)
 
     theta_star = math.acos(2.0 / 3.0)
-    cond_dev = max(abs(los_condition_b(x, theta_star)) for x in xs[:100])
+    cond_dev = np.max(np.abs(_los_residual(s.singular_values[:100], theta_star)))
     add("LOS condition at arccos(2/3)", cond_dev, 1e-9)
     root_dev = max(abs(los_angle_root(x) - theta_star) for x in xs[:10])
     add("unique LOS angle root by bisection", root_dev, 1e-9)
@@ -240,22 +216,15 @@ def hopf_verify_report(
     hd = harmonic_degree_check()
     add("harmonic degree-2 components", 0.0 if hd["pass"] else 1.0, 0.5)
 
-    rng = np.random.default_rng(seed + 1)
-    ode4_dev = 0.0
+    rng = np.random.default_rng(seed + 1)  # one draw of 100 x 4 = 100 draws of 4
+    r, rho, rho_r, rho_rr = rng.uniform(0.5, 2.0, (100, 4)).T
     p322 = validate_params(3, 2, 2)
-    for _ in range(100):
-        r, rho, rho_r, rho_rr = rng.uniform(0.5, 2.0, 4)
-        ode4_dev = max(
-            ode4_dev,
-            abs(
-                ode4_residual(rho, rho_r, rho_rr, r, m=2)
-                - ode1_residual(rho, rho_r, rho_rr, r, p322)
-            ),
-        )
+    ode4_dev = np.max(np.abs(ode4_residual(rho, rho_r, rho_rr, r, m=2)
+                             - ode1_residual(rho, rho_r, rho_rr, r, p322)))
     add("Hopf-symmetric vs reduced equation", ode4_dev, 1e-12)
 
     if profile is not None and params is not None:
-        gap = max(general_vs_lomse_deviation(profile, params, x) for x in xs[:20])
+        gap = general_vs_lomse_deviation(profile, params, xs[:20])
         add("general vs reduced equation on profile", gap, 1e-8)
 
     return {"checks": checks, "pass": all(c["pass"] for c in checks)}

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,10 @@ class LomseParams:
     def K(self) -> int:
         """The Laplace eigenvalue k(k+n-1) = lambda^2 p."""
         return self.k * (self.k + self.n - 1)
+
+    @cached_property
+    def lambda2_float(self) -> float:  # converted once: the field reads it per call
+        return float(self.lambda2)
 
     @property
     def discriminant(self) -> Fraction:

@@ -109,6 +109,16 @@ def test_dirichlet_requires_boundary(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_dirichlet_nonfinite_boundary(value, capsys):
+    code = main(["dirichlet", "--n", "3", "--p", "2", "--k", "2",
+                 f"--phi-boundary={value}", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_verify_hopf(capsys):
     code, out = run_cli(["verify-hopf", "--no-timestamp"], capsys)
     assert code == 0
@@ -140,6 +150,19 @@ def test_sweep_list_file_and_jobs(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert [(r["n"], r["p"], r["k"]) for r in doc["rows"]] == [(3, 2, 2), (5, 4, 4)]
+
+
+def test_jobs_is_deprecated_and_serial(tmp_path, capsys):
+    listing = tmp_path / "triples.txt"
+    listing.write_text("3 2 2\n")
+    args = ["sweep", "--list", str(listing), "--no-timestamp"]
+    assert main(args + ["--jobs", "3"]) == 0
+    parallel = capsys.readouterr()
+    assert "--jobs is deprecated" in parallel.err
+    assert main(args + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr()
+    assert serial.err == ""
+    assert serial.out == parallel.out
 
 
 def test_config_file(tmp_path, capsys):

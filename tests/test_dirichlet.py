@@ -19,6 +19,12 @@ def test_type1_unique_solution(orbit_322, p322):
     assert not rep.cone_solution
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nonfinite_boundary_rejected(orbit_322, p322, value):
+    with pytest.raises(ValueError, match="finite"):
+        L.dirichlet_multiplicity(orbit_322, p322, value)
+
+
 def test_type1_above_max(orbit_322, p322):
     rep = L.dirichlet_multiplicity(orbit_322, p322, p322.phi0 * 2)
     assert rep.multiplicity.kind is MultiplicityKind.ZERO
