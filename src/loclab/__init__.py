@@ -79,9 +79,6 @@ from .params import (
     SpectralData,
     Stability,
     classify_family,
-    cone_angle,
-    singular_value,
-    slope_phi0,
     spectra,
     validate_params,
 )

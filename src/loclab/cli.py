@@ -12,14 +12,14 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import dirichlet as dirichlet_mod
 from . import dynamics, geometry, hopf
 from .errors import InvalidDegree, InvalidFamily, LoclabError
-from .params import Stability, spectra, validate_params
+from .params import LomseParams, Stability, spectra, validate_params
 from .serialize import dumps, to_jsonable
 
 SWEEP_DEFAULT = [
@@ -43,7 +43,6 @@ class RunConfig:
     t_max: float = 200.0
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    event_tol: float = 1e-12
     seed_epsilon: float = 1e-8
     phi_boundary: str | None = None
     output_dir: str | None = None
@@ -55,9 +54,7 @@ class RunConfig:
 
 
 def _tolerances(cfg: RunConfig) -> dynamics.Tolerances:
-    return dynamics.Tolerances(
-        abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol, event_tol=cfg.event_tol
-    )
+    return dynamics.Tolerances(abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
 
 
 def _stamp(report: dict, cfg: RunConfig) -> dict:
@@ -143,34 +140,32 @@ def _cmd_profile(cfg: RunConfig) -> int:
 
 
 def _cmd_dirichlet(cfg: RunConfig) -> int:
-    params, orbit = _integrated(cfg)
     if cfg.phi_boundary is None:
         print("dirichlet requires --phi-boundary (a number or 'at-phi0')",
               file=sys.stderr)
         return 2
-    if cfg.phi_boundary == "at-phi0":
-        pb = params.phi0
-    else:
-        pb = float(cfg.phi_boundary)
-    report = dirichlet_mod.dirichlet_multiplicity(orbit, params, pb)
+    pb = None if cfg.phi_boundary == "at-phi0" else float(cfg.phi_boundary)
+    params, orbit = _integrated(cfg)
+    report = dirichlet_mod.dirichlet_multiplicity(
+        orbit, params, params.phi0 if pb is None else pb)
     _emit_json({"dirichlet": to_jsonable(report)}, cfg, "dirichlet")
     return 0
 
 
-def _cmd_barriers(cfg: RunConfig) -> int:
-    params = validate_params(cfg.n, cfg.p, cfg.k, relaxed=cfg.relaxed)
+def _certificate(params: LomseParams) -> dynamics.BarrierCertificate:
     if params.stability is Stability.TYPE_I:
-        cert = dynamics.barrier_certificate_A3(params)
-    else:
-        cert = dynamics.barrier_certificate_A4(params)
+        return dynamics.barrier_certificate_A3(params)
+    return dynamics.barrier_certificate_A4(params)
+
+
+def _cmd_barriers(cfg: RunConfig) -> int:
+    cert = _certificate(validate_params(cfg.n, cfg.p, cfg.k, relaxed=cfg.relaxed))
     _emit_json({"certificate": to_jsonable(cert)}, cfg, "barriers")
     return 0 if cert.passed else 1
 
 
 def _cmd_verify_hopf(cfg: RunConfig) -> int:
-    params = validate_params(3, 2, 2)
-    seed = dynamics.seed_unstable(params, cfg.seed_epsilon)
-    orbit = dynamics.integrate_orbit(params, seed, cfg.t_max, _tolerances(cfg))
+    params, orbit = _integrated(replace(cfg, n=3, p=2, k=2, relaxed=False))
     prof = dynamics.extract_profile(orbit, params)
     report = hopf.hopf_verify_report(profile=prof, params=params)
     _emit_json(report, cfg, "hopf_verify")
@@ -179,10 +174,7 @@ def _cmd_verify_hopf(cfg: RunConfig) -> int:
 
 def _sweep_row(n: int, p: int, k: int, relaxed: bool) -> dict:
     params = validate_params(n, p, k, relaxed=relaxed)
-    if params.stability is Stability.TYPE_I:
-        cert = dynamics.barrier_certificate_A3(params)
-    else:
-        cert = dynamics.barrier_certificate_A4(params)
+    cert = _certificate(params)
     return {
         "n": n,
         "p": p,
@@ -238,7 +230,7 @@ def run(config: RunConfig) -> int:
         print(f"unknown command: {config.command}", file=sys.stderr)
         return 2
     if not (config.t_max > 0 and config.abs_tol > 0 and config.rel_tol > 0
-            and config.event_tol > 0 and config.seed_epsilon > 0):
+            and config.seed_epsilon > 0):
         print("tolerances, t_max and seed epsilon must be positive",
               file=sys.stderr)
         return 2
@@ -268,7 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--t-max", type=float, dest="t_max")
     ap.add_argument("--abs-tol", type=float, dest="abs_tol")
     ap.add_argument("--rel-tol", type=float, dest="rel_tol")
-    ap.add_argument("--event-tol", type=float, dest="event_tol")
+    ap.add_argument("--event-tol", type=float, dest="event_tol",
+                    help="deprecated; ignored")
     ap.add_argument("--seed-epsilon", type=float, dest="seed_epsilon")
     ap.add_argument("--phi-boundary", dest="phi_boundary")
     ap.add_argument("--out", dest="output_dir")
@@ -284,6 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.event_tol is not None:
+        print("loclab: --event-tol is deprecated and ignored", file=sys.stderr)
     cfg = RunConfig(command=args.command)
     if args.config:
         try:
@@ -297,12 +292,10 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(f"unknown config key: {key}", file=sys.stderr)
                 return 2
-    for key in ("n", "p", "k", "t_max", "abs_tol", "rel_tol", "event_tol",
-                "seed_epsilon", "phi_boundary", "output_dir", "format",
-                "jobs", "relaxed", "no_timestamp", "sweep_list"):
-        value = getattr(args, key)
-        if value is not None:
-            setattr(cfg, key, value)
+    for field in fields(RunConfig):
+        value = getattr(args, field.name)
+        if field.name != "command" and value is not None:
+            setattr(cfg, field.name, value)
     return run(cfg)
 
 

@@ -45,7 +45,6 @@ class PhasePoint:
 class Tolerances:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    event_tol: float = 1e-12
     conv_radius: float = 1e-9
 
 

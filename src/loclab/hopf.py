@@ -2,10 +2,11 @@
 
 The quadratic realization H(x) = (2(x1 x3 + x2 x4), 2(x2 x3 - x1 x4),
 x1^2 + x2^2 - x3^2 - x4^2) is the one closed-form LOMSE available, of
-(3,2,2)-type with constant singular values (2, 2, 0).  Everything the general
-theory predicts for it (singular values, harmonicity, the LOS angle
-condition, agreement of the general and reduced minimality equations) is
-verified here by direct computation.
+(3,2,2)-type with constant singular values (2, 2, 0).  Its components are
+stated once, as the integer quadratic forms x^T Q_c x of ``_HOPF_Q``.
+Everything the general theory predicts for it (singular values, harmonicity,
+the LOS angle condition, agreement of the general and reduced minimality
+equations) is verified here by direct computation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from .dynamics import Profile, ode1_residual, radial_residual
 from .errors import NotOnSphere
@@ -34,26 +34,28 @@ def _check_unit(x) -> np.ndarray:
     return x
 
 
+# H_c(x) = x^T Q_c x, one symmetric integer matrix per component of H
+_HOPF_Q = np.array(
+    [
+        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+        [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    ]
+)
+_HOPF_Q.setflags(write=False)
+
+
 def hopf_map(x) -> np.ndarray:
     """The Hopf map S^3 -> S^2 in quadratic coordinates; ``x`` is a 4-vector
     or a stack of them along the last axis."""
-    x1, x2, x3, x4 = np.moveaxis(_check_unit(x), -1, 0)
-    return np.stack(
-        [
-            2.0 * (x1 * x3 + x2 * x4),
-            2.0 * (x2 * x3 - x1 * x4),
-            x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4,
-        ],
-        axis=-1,
-    )
+    x = _check_unit(x)
+    return np.einsum("...i,cij,...j->...c", x, _HOPF_Q, x)
 
 
 def _tangent_jacobian(x: np.ndarray) -> np.ndarray:
-    """Ambient Jacobian of the quadratic polynomials projected onto T_x S^3,
-    shape (..., 3, 4) for x of shape (..., 4)."""
-    x1, x2, x3, x4 = np.moveaxis(x, -1, 0)
-    rows = [[x3, x4, x1, x2], [-x4, x3, x2, -x1], [x1, x2, -x3, -x4]]
-    ambient = 2.0 * np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    """Ambient Jacobian 2 Q_c x of the quadratic forms projected onto
+    T_x S^3, shape (..., 3, 4) for x of shape (..., 4)."""
+    ambient = 2.0 * np.einsum("cij,...j->...ci", _HOPF_Q, x)
     return ambient @ (np.eye(4) - x[..., :, None] * x[..., None, :])
 
 
@@ -151,32 +153,24 @@ def ode4_residual(rho, rho_r, rho_rr, r, m: int = 2):
 
 
 def harmonic_degree_check() -> dict:
-    """Symbolic check that each component of the map is a homogeneous
-    degree-2 harmonic polynomial, hence a spherical harmonic with Laplace
-    eigenvalue k(k+n-1) = 8 = lambda^2 p."""
-    xs = sympy.symbols("x1:5")
-    x1, x2, x3, x4 = xs
-    comps = [
-        2 * (x1 * x3 + x2 * x4),
-        2 * (x2 * x3 - x1 * x4),
-        x1**2 + x2**2 - x3**2 - x4**2,
-    ]
-    laplacians = [sum(sympy.diff(c, v, 2) for v in xs) for c in comps]
-    t = sympy.Symbol("t")
-    homogeneous = all(
-        sympy.expand(c.subs(dict(zip(xs, [t * v for v in xs]))) - t**2 * c) == 0
-        for c in comps
-    )
+    """Exact check that each component of the map is a homogeneous degree-2
+    harmonic polynomial, hence a spherical harmonic with Laplace eigenvalue
+    k(k+n-1) = 8 = lambda^2 p.  A quadratic form x^T Q x is homogeneous of
+    degree 2 when Q is a symmetric table, and its Laplacian is the integer
+    2 tr Q."""
+    q = _HOPF_Q
+    laplacians_zero = all(2 * int(np.trace(qc)) == 0 for qc in q)
+    homogeneous = (np.issubdtype(q.dtype, np.integer)
+                   and np.array_equal(q, q.transpose(0, 2, 1)))
     params = validate_params(3, 2, 2)
-    eig = params.k * (params.k + params.n - 1)
+    eig = params.K
+    lambda2_times_p = int(params.lambda2 * params.p)
     return {
-        "laplacians_zero": all(sympy.expand(l) == 0 for l in laplacians),
-        "homogeneous_degree_2": bool(homogeneous),
+        "laplacians_zero": laplacians_zero,
+        "homogeneous_degree_2": homogeneous,
         "eigenvalue": eig,
-        "lambda2_times_p": int(params.lambda2 * params.p),
-        "pass": all(sympy.expand(l) == 0 for l in laplacians)
-        and homogeneous
-        and eig == int(params.lambda2 * params.p),
+        "lambda2_times_p": lambda2_times_p,
+        "pass": laplacians_zero and homogeneous and eig == lambda2_times_p,
     }
 
 

@@ -75,10 +75,10 @@ class LomseParams:
     k: int
     family: Family | None
     lambda2: Fraction
-    lam: float
-    theta: float
+    lam: float  # the nonzero singular value sqrt(k(k+n-1)/p)
+    theta: float  # the twist angle in (0, pi/2) making the graph minimal
     phi0_sq: Fraction
-    phi0: float
+    phi0: float  # the cone's constant slope, tan(theta)
     stability: Stability
     relaxed: bool = False
 
@@ -151,21 +151,6 @@ def validate_params(n: int, p: int, k: int, relaxed: bool = False) -> LomseParam
         stability=stability,
         relaxed=relaxed,
     )
-
-
-def singular_value(params: LomseParams) -> float:
-    """Nonzero singular value lambda = sqrt(k(k+n-1)/p)."""
-    return params.lam
-
-
-def cone_angle(params: LomseParams) -> float:
-    """The twist angle theta in (0, pi/2) making the twisted graph minimal."""
-    return params.theta
-
-
-def slope_phi0(params: LomseParams) -> float:
-    """Constant slope of the cone solution; equals tan(theta)."""
-    return params.phi0
 
 
 @dataclass(frozen=True)

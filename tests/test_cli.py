@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from loclab import dynamics
 from loclab.cli import main
 
 
@@ -109,6 +110,23 @@ def test_dirichlet_requires_boundary(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("boundary", [[], ["--phi-boundary", "abc"]],
+                         ids=["missing", "non-numeric"])
+def test_dirichlet_bad_boundary_integrates_nothing(boundary, monkeypatch, capsys):
+    calls = []
+
+    def integrate_orbit(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("integrated before the boundary was checked")
+
+    monkeypatch.setattr(dynamics, "integrate_orbit", integrate_orbit)
+    code, out = run_cli(["dirichlet", "--n", "3", "--p", "2", "--k", "4"] + boundary,
+                        capsys)
+    assert code == 2
+    assert out == ""
+    assert calls == []
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_dirichlet_nonfinite_boundary(value, capsys):
     code = main(["dirichlet", "--n", "3", "--p", "2", "--k", "2",
@@ -163,6 +181,22 @@ def test_jobs_is_deprecated_and_serial(tmp_path, capsys):
     serial = capsys.readouterr()
     assert serial.err == ""
     assert serial.out == parallel.out
+
+
+def test_event_tol_is_deprecated_and_ignored(tmp_path, capsys):
+    args = ["classify", "--n", "3", "--p", "2", "--k", "2", "--no-timestamp"]
+    assert main(args + ["--event-tol", "-1"]) == 0
+    flagged = capsys.readouterr()
+    assert flagged.err == "loclab: --event-tol is deprecated and ignored\n"
+    assert main(args) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert plain.out == flagged.out
+    # the field is gone, so a config file naming it is an unknown key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"event_tol": 1e-12}))
+    assert main(["classify", "--config", str(cfg)]) == 2
+    assert "unknown config key: event_tol" in capsys.readouterr().err
 
 
 def test_config_file(tmp_path, capsys):

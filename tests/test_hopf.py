@@ -3,12 +3,32 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import loclab as L
+from loclab import hopf
 from loclab.hopf import _random_unit_vectors
+
+
+def _reference_map(x):
+    """The map written out component by component, as a reference for the table."""
+    x1, x2, x3, x4 = np.moveaxis(x, -1, 0)
+    return np.stack([2.0 * (x1 * x3 + x2 * x4), 2.0 * (x2 * x3 - x1 * x4),
+                     x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4], axis=-1)
+
+
+def _reference_jacobian(x):
+    """The differential written out row by row, projected onto T_x S^3."""
+    x1, x2, x3, x4 = np.moveaxis(x, -1, 0)
+    rows = [[x3, x4, x1, x2], [-x4, x3, x2, -x1], [x1, x2, -x3, -x4]]
+    ambient = 2.0 * np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    return ambient @ (np.eye(4) - x[..., :, None] * x[..., None, :])
 
 
 def test_hopf_map_examples():
@@ -20,6 +40,12 @@ def test_hopf_map_examples():
 def test_hopf_map_unit_output():
     for x in _random_unit_vectors(10_000, seed=7):
         assert abs(np.linalg.norm(L.hopf_map(x)) - 1.0) < 1e-12
+
+
+def test_table_matches_explicit_formulas():
+    xs = _random_unit_vectors(1000, seed=37)
+    assert np.array_equal(hopf._tangent_jacobian(xs), _reference_jacobian(xs))
+    assert np.max(np.abs(L.hopf_map(xs) - _reference_map(xs))) <= 4.5e-16
 
 
 def test_not_on_sphere():
@@ -73,6 +99,32 @@ def test_harmonic_degree():
     assert rep["eigenvalue"] == 8
     assert rep["lambda2_times_p"] == 8
     assert rep["pass"]
+
+
+def test_harmonic_degree_detects_a_bad_table(monkeypatch):
+    table = hopf._HOPF_Q
+    q = table.copy()
+    q[2] = np.diag([1, 1, -1, 1])  # trace 2: Laplacian 4, not harmonic
+    monkeypatch.setattr(hopf, "_HOPF_Q", q)
+    rep = L.harmonic_degree_check()
+    assert rep["laplacians_zero"] is False
+    assert rep["pass"] is False
+
+    q = table.copy()
+    q[0, 0, 1] = 1  # traceless, but not symmetric: 2 Q x is not its gradient
+    monkeypatch.setattr(hopf, "_HOPF_Q", q)
+    rep = L.harmonic_degree_check()
+    assert rep["laplacians_zero"] is True
+    assert rep["homogeneous_degree_2"] is False
+    assert rep["pass"] is False
+
+
+def test_import_loads_no_sympy():
+    env = {**os.environ, "PYTHONPATH": str(Path(L.__file__).parents[1])}
+    subprocess.run(
+        [sys.executable, "-c", "import loclab, sys; assert 'sympy' not in sys.modules"],
+        env=env, check=True,
+    )
 
 
 def test_general_vs_reduced_on_profile(profile_322, p322):

@@ -56,24 +56,24 @@ def test_relaxed_mode():
 
 
 def test_singular_values():
-    assert L.singular_value(L.validate_params(3, 2, 2)) == 2.0
+    assert L.validate_params(3, 2, 2).lam == 2.0
     assert math.isclose(
-        L.singular_value(L.validate_params(5, 4, 2)), math.sqrt(3), rel_tol=1e-15
+        L.validate_params(5, 4, 2).lam, math.sqrt(3), rel_tol=1e-15
     )
-    assert L.singular_value(L.validate_params(15, 8, 2)) == 2.0
+    assert L.validate_params(15, 8, 2).lam == 2.0
 
 
 def test_cone_angle_examples():
     assert math.isclose(
-        L.cone_angle(L.validate_params(3, 2, 2)), math.acos(2 / 3), rel_tol=1e-15
+        L.validate_params(3, 2, 2).theta, math.acos(2 / 3), rel_tol=1e-15
     )
     assert math.isclose(
-        L.cone_angle(L.validate_params(7, 4, 2)),
+        L.validate_params(7, 4, 2).theta,
         math.acos(2 / math.sqrt(7)),
         rel_tol=1e-15,
     )
     assert math.isclose(
-        L.cone_angle(L.validate_params(3, 2, 4)),
+        L.validate_params(3, 2, 4).theta,
         math.acos(2 / math.sqrt(11)),
         rel_tol=1e-15,
     )
@@ -81,13 +81,13 @@ def test_cone_angle_examples():
 
 def test_slope_examples():
     assert math.isclose(
-        L.slope_phi0(L.validate_params(3, 2, 2)), math.sqrt(5) / 2, rel_tol=1e-15
+        L.validate_params(3, 2, 2).phi0, math.sqrt(5) / 2, rel_tol=1e-15
     )
     assert math.isclose(
-        L.slope_phi0(L.validate_params(3, 2, 4)), math.sqrt(7) / 2, rel_tol=1e-15
+        L.validate_params(3, 2, 4).phi0, math.sqrt(7) / 2, rel_tol=1e-15
     )
     assert math.isclose(
-        L.slope_phi0(L.validate_params(5, 4, 2)), math.sqrt(7 / 3), rel_tol=1e-15
+        L.validate_params(5, 4, 2).phi0, math.sqrt(7 / 3), rel_tol=1e-15
     )
 
 
