@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,7 +46,7 @@ class RunConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     seed_epsilon: float = 1e-8
-    phi_boundary: str | None = None
+    phi_boundary: str | float | None = None
     output_dir: str | None = None
     format: str = "json"
     jobs: int = 1
@@ -145,6 +147,8 @@ def _cmd_dirichlet(cfg: RunConfig) -> int:
               file=sys.stderr)
         return 2
     pb = None if cfg.phi_boundary == "at-phi0" else float(cfg.phi_boundary)
+    if pb is not None and not math.isfinite(pb):
+        raise ValueError(f"phi_boundary must be finite, got {cfg.phi_boundary}")
     params, orbit = _integrated(cfg)
     report = dirichlet_mod.dirichlet_multiplicity(
         orbit, params, params.phi0 if pb is None else pb)
@@ -275,27 +279,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a config-file value fits a ``RunConfig`` field type; an int
+    fits a float field, a bool fits only a bool field."""
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in allowed
+    return isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.event_tol is not None:
         print("loclab: --event-tol is deprecated and ignored", file=sys.stderr)
     cfg = RunConfig(command=args.command)
+    # every field but the subcommand, which only the command line names
+    settable = {k: v for k, v in typing.get_type_hints(RunConfig).items()
+                if k != "command"}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(f"invalid configuration file: {exc}", file=sys.stderr)
             return 2
+        if not isinstance(loaded, dict):
+            print("invalid configuration file: expected a JSON object", file=sys.stderr)
+            return 2
         for key, value in loaded.items():
-            if hasattr(cfg, key):
-                setattr(cfg, key, value)
-            else:
+            if key not in settable:
                 print(f"unknown config key: {key}", file=sys.stderr)
                 return 2
-    for field in fields(RunConfig):
-        value = getattr(args, field.name)
-        if field.name != "command" and value is not None:
-            setattr(cfg, field.name, value)
+            if not _has_type(value, settable[key]):
+                hint = settable[key]
+                print(f"config key {key}: {value!r} is not of type "
+                      f"{getattr(hint, '__name__', hint)}", file=sys.stderr)
+                return 2
+            setattr(cfg, key, value)
+    for name in settable:
+        value = getattr(args, name)
+        if value is not None:
+            setattr(cfg, name, value)
     return run(cfg)
 
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
@@ -129,11 +130,36 @@ class Orbit:
         y = self.interpolant(t)
         return PhasePoint(phi=float(y[0]), psi=float(y[1]), t=float(t))
 
+    @cached_property
+    def _dense_table(self) -> tuple[np.ndarray, ...]:
+        """The DOP853 dense output stacked once: segment edges ``ts`` and,
+        per step, ``t_old``, ``h``, ``y_old`` and the (7, 2) coefficients F."""
+        steps = self.interpolant.interpolants
+        return (self.interpolant.ts, *(np.array([getattr(s, name) for s in steps])
+                                       for name in ("t_old", "h", "y_old", "F")))
+
+    def states_at(self, t) -> np.ndarray:
+        """(phi, psi) at an array of times, shape (2,) + t.shape: equal to
+        ``interpolant(t)`` element for element, with one pass over the stacked
+        table instead of one scipy call per step.  The segment choice and the
+        alternating x / (1 - x) Horner loop are scipy's own."""
+        ts, t_old, h, y_old, F = self._dense_table
+        t = np.asarray(t, dtype=float)
+        seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(ts) - 2)
+        x = ((t - t_old[seg]) / h[seg])[..., None]
+        coef = F[seg]
+        y = np.zeros(t.shape + (2,))
+        for i in range(7):
+            y += coef[..., 6 - i, :]
+            y *= x if i % 2 == 0 else 1 - x
+        y += y_old[seg]
+        return np.moveaxis(y, -1, 0)
+
     def psi_t_at(self, t):
         """d(psi)/dt recovered by exact differentiation of the dense-output
         segment polynomial (not by substituting the vector field, which would
         make downstream residual checks vacuous).  ``t`` may be a 1-D array:
-        psi is read at the nodes of all its segments in one interpolant call."""
+        psi is read at the nodes of all its segments in one table pass."""
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         ts = self.interpolant.ts
         seg = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
@@ -142,7 +168,7 @@ class Orbit:
         if np.any(tb <= ta):
             raise NonFiniteState("degenerate interpolation segment")
         nodes = 0.5 * (ta + tb)[:, None] + 0.5 * (tb - ta)[:, None] * _CHEB_U
-        psis = self.interpolant(nodes.ravel())[1].reshape(nodes.shape)
+        psis = self.states_at(nodes)[1]
         # row sums, not matmul: a point's value must not depend on the batch
         dcoef = np.sum(psis[:, None, :] * _CHEB_DIFF, axis=2)[which]
         ta, tb = ta[which], tb[which]
@@ -310,36 +336,17 @@ class Profile:
     _c_ext: float = field(repr=False, default=0.0)
 
     def rho_at(self, r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        if r < self.r_min:
-            return self._c_ext * r**self.params.k
-        t = math.log(min(r, self.r_max))
-        return r * self.orbit.point_at(t).phi
+        return float(self.values_at([r])[0][0])
 
     def rho_r_at(self, r: float) -> float:
-        k = self.params.k
-        if r <= 0.0:
-            return 0.0
-        if r < self.r_min:
-            return self._c_ext * k * r ** (k - 1)
-        t = math.log(min(r, self.r_max))
-        pt = self.orbit.point_at(t)
-        return pt.phi + pt.psi
+        return float(self.values_at([r])[1][0])
 
     def rho_rr_at(self, r: float) -> float:
-        k = self.params.k
-        if r <= 0.0:
-            return 0.0
-        if r < self.r_min:
-            return self._c_ext * k * (k - 1) * r ** (k - 2)
-        t = math.log(min(r, self.r_max))
-        psi = self.orbit.point_at(t).psi
-        return (self.orbit.psi_t_at(t) + psi) / r
+        return float(self.values_at([r])[2][0])
 
     def values_at(self, r) -> tuple[np.ndarray, ...]:
-        """(rho, rho_r, rho_rr) at a 1-D array of radii: the array form of the
-        three accessors above, with two interpolant calls."""
+        """(rho, rho_r, rho_rr) at a 1-D array of radii, with one table pass
+        for the states and one for psi_t; the scalar accessors above read it."""
         r = np.asarray(r, dtype=float)
         k, c, rr = self.params.k, self._c_ext, np.maximum(r, 0.0)
         vals = np.array([c * rr**k, c * k * rr ** (k - 1),
@@ -348,7 +355,7 @@ class Profile:
         on = r >= self.r_min
         if np.any(on):
             t = np.log(np.minimum(r[on], self.r_max))
-            phi, psi = self.orbit.interpolant(t)
+            phi, psi = self.orbit.states_at(t)
             vals[:, on] = r[on] * phi, phi + psi, (self.orbit.psi_t_at(t) + psi) / r[on]
         return tuple(vals)
 

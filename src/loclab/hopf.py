@@ -117,11 +117,7 @@ def _general_residuals(profile: Profile, x, n_radii: int):
     """The profile at ``n_radii`` log-spaced radii, read once, and the general
     equation's residual there: a row per point of ``x``, a column per radius."""
     radii = np.geomspace(profile.r_min, profile.r_max, n_radii)
-    if isinstance(profile, Profile):
-        values = profile.values_at(radii)
-    else:  # any object with the scalar accessors, read point by point
-        values = tuple(np.array([f(float(r)) for r in radii])
-                       for f in (profile.rho_at, profile.rho_r_at, profile.rho_rr_at))
+    values = profile.values_at(radii)
     sv2 = singular_value_sample(np.atleast_2d(x)).singular_values ** 2
     gen = radial_residual(*values, radii, [(l2[:, None], 1) for l2 in sv2.T])
     return gen, values, radii

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 import loclab as L
@@ -71,6 +72,10 @@ class ConeProfile:
 
     def rho_rr_at(self, r: float) -> float:
         return 0.0
+
+    def values_at(self, r):
+        r = np.asarray(r, dtype=float)
+        return self.phi0 * r, np.full_like(r, self.phi0), np.zeros_like(r)
 
 
 @pytest.fixture(scope="session")

@@ -128,7 +128,11 @@ def test_dirichlet_bad_boundary_integrates_nothing(boundary, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_dirichlet_nonfinite_boundary(value, capsys):
+def test_dirichlet_nonfinite_boundary(value, monkeypatch, capsys):
+    def integrate_orbit(*args, **kwargs):
+        raise AssertionError("integrated before the boundary was checked")
+
+    monkeypatch.setattr(dynamics, "integrate_orbit", integrate_orbit)
     code = main(["dirichlet", "--n", "3", "--p", "2", "--k", "2",
                  f"--phi-boundary={value}", "--no-timestamp"])
     captured = capsys.readouterr()
@@ -216,3 +220,36 @@ def test_unknown_config_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"bogus": 1}))
     code, _ = run_cli(["classify", "--config", str(cfg)], capsys)
     assert code == 2
+
+
+def test_config_cannot_set_the_command(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "barriers"}))
+    code = main(["classify", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown config key: command" in captured.err
+
+
+@pytest.mark.parametrize("doc", [{"t_max": "abc"}, {"n": True}, {"k": 2.5},
+                                 {"no_timestamp": 1}, {"phi_boundary": [0.5]}, [1]],
+                         ids=["str-for-float", "bool-for-int", "float-for-int",
+                              "int-for-bool", "list-for-str", "not-an-object"])
+def test_config_value_of_wrong_type(doc, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["classify", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "config" in captured.err
+
+
+def test_config_numbers_fit_float_fields(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_max": 50, "phi_boundary": 0.25, "no_timestamp": True,
+                               "n": 3, "p": 2, "k": 2}))
+    code, out = run_cli(["dirichlet", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert json.loads(out)["dirichlet"]["phi_boundary"] == 0.25

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 import sympy
+from scipy.integrate import quad
 
 import loclab as L
-from conftest import SWEEP, ConeProfile
+from conftest import SWEEP, TIGHT, ConeProfile
 
 
 def test_normal_angle_cos_constants():
@@ -117,6 +118,81 @@ def test_graph_volume_monotone(profile_322, p322):
 def test_graph_volume_domain_too_short(profile_322, p322):
     with pytest.raises(L.DomainTooShort):
         L.graph_volume(profile_322, p322, profile_322.r_max * 2.0)
+
+
+def _quad_volumes(profile, params, radii: list[float]) -> list[float]:
+    """Reference: adaptive Gauss-Kronrod in r with scalar profile reads, one
+    quad call per e-fold of radius at relative tolerance 1e-10, accumulated
+    over the sorted ``radii``."""
+    n, p, lam2 = params.n, params.p, float(params.lambda2)
+
+    def w(r: float) -> float:
+        rho, rho_r = profile.rho_at(r), profile.rho_r_at(r)
+        return (math.sqrt(1.0 + rho_r * rho_r) * (r * r + lam2 * rho * rho) ** (p / 2)
+                * r ** (n - p))
+
+    lo = min(profile.r_min, radii[0])
+    total = quad(w, 0.0, lo, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+    out = []
+    for R in radii:
+        n_seg = max(1, math.ceil(math.log(R / lo)))
+        edges = [lo * (R / lo) ** (j / n_seg) for j in range(n_seg)] + [R]
+        for a, b in zip(edges[:-1], edges[1:]):
+            total += quad(w, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+        out.append(L.sphere_volume(n) * total)
+        lo = R
+    return out
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["default", "tight"])
+@pytest.mark.parametrize("triple", [(3, 2, 4), (3, 2, 6), (5, 4, 6)])
+def test_gauss_legendre_volumes_match_adaptive_quad(triple, tight):
+    p = L.validate_params(*triple)
+    orbit = L.integrate_orbit(p, L.seed_unstable(p), tolerances=TIGHT if tight else None)
+    prof = L.extract_profile(orbit, p)
+    crossings = [math.exp(e.t) for e in orbit.events_of(L.EventKind.PHI_EQUALS_PHI0)]
+    # below, at and above the seed radius r_min = 1, the crossings, and r_max
+    radii = sorted([0.5, prof.r_min, 2.0] + crossings + [prof.r_max])
+    rep = L.density_report(prof, p, radii)
+    for R, theta, want in zip(radii, rep.theta_seq, _quad_volumes(prof, p, radii)):
+        assert math.isclose(L.graph_volume(prof, p, R), want, rel_tol=1e-10)
+        ball = L.ball_volume(p.n + 1) * math.hypot(R, prof.rho_at(R)) ** (p.n + 1)
+        assert math.isclose(theta, want / ball, rel_tol=1e-10)
+
+
+class BumpProfile:
+    """rho = phi0 r (1 + b(log r)) with a Gaussian bump b of width 0.01 at
+    t = 1, far narrower than one quadrature panel."""
+
+    r_min, r_max = 0.0, math.inf
+
+    def __init__(self, phi0: float):
+        self.phi0 = phi0
+
+    def values_at(self, r):
+        t = np.log(np.asarray(r, dtype=float))
+        bump = 0.5 * np.exp(-(((t - 1.0) / 0.01) ** 2))
+        db_dt = -2.0 * (t - 1.0) / 0.01**2 * bump
+        rho = self.phi0 * np.exp(t) * (1.0 + bump)
+        return rho, self.phi0 * (1.0 + bump + db_dt), np.zeros_like(t)
+
+
+def test_gauss_legendre_refines_a_narrow_feature(p322):
+    prof = BumpProfile(p322.phi0)
+    n, p, lam2 = p322.n, p322.p, float(p322.lambda2)
+
+    def w_t(t: float) -> float:  # the integrand in t = log r
+        r = math.exp(t)
+        rho, rho_r, _ = (float(v[0]) for v in prof.values_at([r]))
+        return (math.sqrt(1 + rho_r**2) * (r * r + lam2 * rho * rho) ** (p / 2)
+                * r ** (n - p + 1))
+
+    # the piece below 1e-12 R is under 1e-47 of the total
+    R = math.exp(2.0)
+    want = quad(w_t, math.log(R * 1e-12), 2.0, points=[0.95, 1.0, 1.05], epsabs=0.0,
+                epsrel=1e-12, limit=500)[0]
+    got = L.graph_volume(prof, p322, R) / L.sphere_volume(n)
+    assert math.isclose(got, want, rel_tol=1e-10)
 
 
 def test_cone_density_at_matches_formula(p322, cone_profile_322):

@@ -14,7 +14,7 @@ from loclab.dirichlet import _find_crossings
 from loclab.dynamics import _quarter_strip_max
 from loclab.hopf import _random_unit_vectors
 
-from conftest import SWEEP
+from conftest import SWEEP, TIGHT
 
 
 @pytest.mark.parametrize("triple", SWEEP)
@@ -28,6 +28,22 @@ def test_vector_field_arrays_equal_scalar_calls(triple):
     assert np.array_equal(x2.ravel(), ref[:, 1])
     for f in (L.f1, L.f2):
         assert np.array_equal(f(phi, p).ravel(), [f(float(a), p) for a in phi.ravel()])
+
+
+@pytest.mark.parametrize("tol", [L.Tolerances(), TIGHT], ids=["default", "tight"])
+@pytest.mark.parametrize("triple", SWEEP)
+def test_states_at_equals_interpolant(triple, tol):
+    p = L.validate_params(*triple)
+    orbit = L.integrate_orbit(p, L.seed_unstable(p), tolerances=tol)
+    ts = orbit.interpolant.ts
+    rng = np.random.default_rng(sum(triple))
+    t = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1]), rng.uniform(ts[0], ts[-1], 500),
+                        [ts[0], ts[-1]]])
+    assert np.array_equal(orbit.states_at(t), orbit.interpolant(t))
+    grid = t[: t.size // 2 * 2].reshape(-1, 2)
+    assert np.array_equal(orbit.states_at(grid), orbit.interpolant(grid.ravel()).reshape(2, -1, 2))
+    for x in (ts[0], ts[len(ts) // 2], 0.5 * (ts[1] + ts[2]), ts[-1]):
+        assert np.array_equal(orbit.states_at(x), orbit.interpolant(x))
 
 
 def _psi_t_polyfit(orbit, t: float) -> float:
@@ -129,7 +145,7 @@ def test_profile_values_match_scalar_accessors(profile_324):
     accessors = (prof.rho_at, prof.rho_r_at, prof.rho_rr_at)
     for got, acc in zip((rho, rho_r, rho_rr), accessors):
         ref = np.array([acc(float(x)) for x in r])
-        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got, ref)
 
 
 def test_deviation_over_a_stack_is_max_over_points(profile_322, p322):
