@@ -34,6 +34,7 @@ SWEEP_DEFAULT = [
     (7, 4, 2),
     (15, 8, 2),
 ]
+FORMATS = ("json", "csv")
 
 
 @dataclass
@@ -147,8 +148,9 @@ def _cmd_dirichlet(cfg: RunConfig) -> int:
               file=sys.stderr)
         return 2
     pb = None if cfg.phi_boundary == "at-phi0" else float(cfg.phi_boundary)
-    if pb is not None and not math.isfinite(pb):
-        raise ValueError(f"phi_boundary must be finite, got {cfg.phi_boundary}")
+    if pb is not None and not (math.isfinite(pb) and pb >= 0):
+        raise ValueError("phi_boundary must be finite and nonnegative, "
+                         f"got {cfg.phi_boundary}")
     params, orbit = _integrated(cfg)
     report = dirichlet_mod.dirichlet_multiplicity(
         orbit, params, params.phi0 if pb is None else pb)
@@ -192,16 +194,25 @@ def _sweep_row(n: int, p: int, k: int, relaxed: bool) -> dict:
     }
 
 
+def _read_triples(path: str) -> list[tuple[int, int, int]]:
+    """The 'n p k' lines of a sweep list; '#' starts a comment, commas count
+    as spaces, and any other line than three integers is refused."""
+    triples = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        fields = line.split("#", 1)[0].replace(",", " ").split()
+        if not fields:
+            continue
+        try:
+            n, p, k = (int(v) for v in fields)
+        except ValueError:
+            raise ValueError(f"{path} line {lineno}: expected three integers "
+                             f"'n p k', got {line.strip()!r}") from None
+        triples.append((n, p, k))
+    return triples
+
+
 def _cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.sweep_list:
-        triples = []
-        for line in Path(cfg.sweep_list).read_text().splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                parts = line.replace(",", " ").split()
-                triples.append(tuple(int(v) for v in parts[:3]))
-    else:
-        triples = SWEEP_DEFAULT
+    triples = _read_triples(cfg.sweep_list) if cfg.sweep_list else SWEEP_DEFAULT
     if cfg.jobs > 1:
         print("loclab: --jobs is deprecated and ignored; the sweep runs serially",
               file=sys.stderr)
@@ -233,9 +244,13 @@ def run(config: RunConfig) -> int:
     if config.command not in _COMMANDS:
         print(f"unknown command: {config.command}", file=sys.stderr)
         return 2
-    if not (config.t_max > 0 and config.abs_tol > 0 and config.rel_tol > 0
-            and config.seed_epsilon > 0):
-        print("tolerances, t_max and seed epsilon must be positive",
+    if not all(math.isfinite(v) and v > 0 for v in
+               (config.t_max, config.abs_tol, config.rel_tol, config.seed_epsilon)):
+        print("tolerances, t_max and seed epsilon must be positive and finite",
+              file=sys.stderr)
+        return 2
+    if config.format not in FORMATS:
+        print(f"format must be one of {', '.join(FORMATS)}, got {config.format!r}",
               file=sys.stderr)
         return 2
     try:
@@ -269,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed-epsilon", type=float, dest="seed_epsilon")
     ap.add_argument("--phi-boundary", dest="phi_boundary")
     ap.add_argument("--out", dest="output_dir")
-    ap.add_argument("--format", choices=["json", "csv"])
+    ap.add_argument("--format", choices=FORMATS)
     ap.add_argument("--jobs", type=int, help="deprecated; sweeps run serially")
     ap.add_argument("--relaxed", action="store_true", default=None)
     ap.add_argument("--no-timestamp", action="store_true", default=None,

@@ -15,6 +15,7 @@ and certifies the invariant-region barriers for both stability types.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -22,8 +23,9 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize_scalar
+from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate._ivp.rk import Dop853DenseOutput
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     InsufficientEvents,
@@ -180,6 +182,155 @@ class Orbit:
         return [e for e in self.events if e.kind is kind]
 
 
+# DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.5) as scipy runs it: the
+# tableau is scipy's, and so are the step-size control constants below.
+_EPS = float(np.finfo(float).eps)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_STAGES = DOP853.n_stages
+_C, _C_EXTRA = DOP853.C.tolist(), DOP853.C_EXTRA.tolist()
+
+
+def _stage_plan(K, rows, cs, first):
+    """Per stage s from ``first`` on: the view K[:s]^T, the tableau row a[:s],
+    the node c and the row K[s] that the stage writes."""
+    return [(K[:s].T, a[:s], c, K[s]) for s, (a, c) in enumerate(zip(rows, cs), start=first)]
+
+
+def _fill_stages(plan, t, y0, y1, h, params):
+    """K[s] = f(t + c h, y + h K[:s]^T a) along a stage plan.  The dot product
+    is scipy's own numpy call, so its rounding is too; the rest is the same
+    IEEE arithmetic on Python floats."""
+    for kt, a, c, row in plan:
+        d0, d1 = np.dot(kt, a).tolist()
+        row[0], row[1] = vector_field(PhasePoint(y0 + d0 * h, y1 + d1 * h, t + c * h), params)
+
+
+def _initial_step(t0, y, f, t_bound, direction, rtol, atol, params):
+    """scipy's ``select_initial_step`` (Hairer-Norsett-Wanner II.4), in numpy."""
+    y, f = np.array(y), np.array(f)
+    interval = abs(t_bound - t0)
+    scale = atol + np.abs(y) * rtol
+    d0 = np.linalg.norm(y / scale) / 2 ** 0.5
+    d1 = np.linalg.norm(f / scale) / 2 ** 0.5
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    y1 = (y + h0 * direction * f).tolist()
+    f1 = np.array(vector_field(PhasePoint(*y1, t0 + h0 * direction), params))
+    d2 = np.linalg.norm((f1 - f) / scale) / 2 ** 0.5 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
+    return float(min(100 * h0, h1, interval))
+
+
+def _dop853(params, t0, y, t_bound, rtol, atol, events):
+    """Integrate X from state ``y`` at ``t0`` towards ``t_bound``, step for
+    step as ``solve_ivp(method="DOP853", dense_output=True)`` does.
+
+    ``events`` holds ``(g(phi, psi), direction, terminal)`` triples; a sign
+    change of g over a step is located by ``brentq`` on the step's dense
+    output, and the first terminal root ends the run there.  Returns the
+    times, the (2, N) states, the ``OdeSolution``, the event times per event,
+    the status (0 reached t_bound, 1 terminal event, -1 failed) and a message.
+    """
+    if rtol < 100 * _EPS:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
+                      stacklevel=3)
+        rtol = 100 * _EPS
+    if atol < 0:
+        raise ValueError("`atol` must be positive.")
+    direction = 1.0 if t_bound > t0 else -1.0
+    K = np.empty((_STAGES + 1 + len(_C_EXTRA), 2))
+    stages = _stage_plan(K, DOP853.A[1:], _C[1:], 1)
+    extra = _stage_plan(K, DOP853.A_EXTRA, _C_EXTRA, _STAGES + 1)
+    E3, E5 = DOP853.E3, DOP853.E5
+    y0, y1 = y
+    f = vector_field(PhasePoint(y0, y1, t0), params)
+    h_abs = _initial_step(t0, y, f, t_bound, direction, rtol, atol, params)
+    t = t0
+    ts, ys, interpolants = [t0], [(y0, y1)], []
+    g = [ev(y0, y1) for ev, _, _ in events]
+    t_events = [[] for _ in events]
+    status, message = None, None
+    while status is None:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status, message = -1, DOP853.TOO_SMALL_STEP
+                break
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            _fill_stages(stages, t, y0, y1, h, params)
+            d0, d1 = np.dot(K[:_STAGES].T, DOP853.B).tolist()
+            n0, n1 = y0 + h * d0, y1 + h * d1
+            f_new = vector_field(PhasePoint(n0, n1, t + h), params)
+            K[_STAGES] = f_new
+            scale = np.array((atol + max(abs(y0), abs(n0)) * rtol,
+                              atol + max(abs(y1), abs(n1)) * rtol))
+            err5 = np.linalg.norm(np.dot(K[:_STAGES + 1].T, E5) / scale) ** 2
+            err3 = np.linalg.norm(np.dot(K[:_STAGES + 1].T, E3) / scale) ** 2
+            if err5 == 0 and err3 == 0:
+                err = 0.0
+            else:
+                err = float(abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * 2))
+            if err < 1:
+                factor = (_MAX_FACTOR if err == 0
+                          else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            rejected = True
+        if status == -1:
+            break
+        t_old, o0, o1, f_old = t, y0, y1, f
+        t, y0, y1, f = t_new, n0, n1, f_new
+        if direction * (t - t_bound) >= 0:
+            status = 0
+        # the dense output: 3 more stages and scipy's 7 x 2 coefficients F
+        _fill_stages(extra, t_old, o0, o1, h, params)
+        F = np.empty((7, 2))
+        F[3:] = h * np.dot(DOP853.D, K)
+        dy0, dy1 = y0 - o0, y1 - o1
+        F[:3] = ((dy0, dy1), (h * f_old[0] - dy0, h * f_old[1] - dy1),
+                 (2 * dy0 - h * (f[0] + f_old[0]), 2 * dy1 - h * (f[1] + f_old[1])))
+        interpolants.append(Dop853DenseOutput(t_old, t, np.array((o0, o1)), F))
+        # solve_ivp's event rule
+        g_new = [ev(y0, y1) for ev, _, _ in events]
+        active = [i for i, ((_, d, _), a, b) in enumerate(zip(events, g, g_new))
+                  if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
+        t_end, y_end = t, (y0, y1)
+        if active:
+            step = interpolants[-1]
+            roots = [(brentq(lambda s, ev=events[i][0]: ev(*step(s)), t_old, t,
+                             xtol=4 * _EPS, rtol=4 * _EPS), i) for i in active]
+            if any(events[i][2] for _, i in roots):
+                # in time order, up to and including the first terminal root
+                roots.sort(key=lambda r: r[0] * direction)
+                stop = next(j for j, (_, i) in enumerate(roots) if events[i][2])
+                roots = roots[:stop + 1]
+                status, t_end = 1, roots[-1][0]
+                y_end = step(t_end)
+            for te, i in roots:
+                t_events[i].append(te)
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t_end:
+            interpolants.pop()
+        else:
+            ts.append(t_end)
+            ys.append(y_end)
+    return (np.array(ts), np.array(ys).T, OdeSolution(ts, interpolants),
+            t_events, status, message)
+
+
 def integrate_orbit(
     params: LomseParams,
     seed: PhasePoint,
@@ -187,97 +338,75 @@ def integrate_orbit(
     tolerances: Tolerances | None = None,
 ) -> Orbit:
     """Integrate the system forward from ``seed`` until convergence to
-    (phi0, 0), domain exit, or t_max.
+    (phi0, 0), domain exit, or t_max (backward when t_max < 0).
 
-    Uses an 8th-order adaptive explicit scheme with dense output.  Events
-    (psi = 0 crossings, phi = phi0 crossings) are located by root-finding on
-    the interpolant.  Convergence is declared when the state enters the ball
-    of radius ``conv_radius`` around (phi0, 0), the linearization there is
-    contracting, and the distance was decreasing over the last samples.
+    Uses the 8th-order adaptive Dormand-Prince scheme DOP853 with dense
+    output (``_dop853``).  Events (psi = 0 crossings, phi = phi0 crossings)
+    are located by root-finding on the interpolant.  Convergence is declared
+    when the state enters the ball of radius ``conv_radius`` around (phi0, 0),
+    the linearization there is contracting, and the distance was decreasing
+    over the last samples.
     """
     tol = tolerances or Tolerances()
     if not (math.isfinite(seed.phi) and math.isfinite(seed.psi)
             and math.isfinite(seed.t)):
         raise NonFiniteState(f"seed is not finite: {seed}")
+    if not (t_max > 0 or t_max < 0):
+        raise ValueError(f"t_max must be nonzero, got {t_max}")
     phi0 = params.phi0
     cap_phi = max(5.0 * phi0, 1.0)
     cap_psi = max(5.0 * phi0, 10.0)
-
-    def rhs(t, y):
-        # Python floats: the same IEEE arithmetic as numpy scalars, faster
-        phi, psi = y.tolist()
-        return vector_field(PhasePoint(phi, psi, t), params)
-
-    def ev_psi_zero(t, y):
-        return y[1]
-
-    def ev_phi_cross(t, y):
-        return y[0] - phi0
-
-    def ev_converged(t, y):
-        return math.hypot(y[0] - phi0, y[1]) - tol.conv_radius
-
-    ev_converged.terminal = True
-    ev_converged.direction = -1
-
-    def ev_leave(t, y):
-        return max(abs(y[0]) / cap_phi, abs(y[1]) / cap_psi) - 1.0
-
-    ev_leave.terminal = True
-    ev_leave.direction = 1
-
-    sol = solve_ivp(
-        rhs,
-        (seed.t, seed.t + t_max),
-        [seed.phi, seed.psi],
-        method="DOP853",
-        dense_output=True,
-        rtol=tol.rel_tol,
-        atol=tol.abs_tol,
-        events=[ev_psi_zero, ev_phi_cross, ev_converged, ev_leave],
+    conv = tol.conv_radius
+    event_fns = (  # (g(phi, psi), direction, terminal)
+        (lambda phi, psi: psi, 0, False),
+        (lambda phi, psi: phi - phi0, 0, False),
+        (lambda phi, psi: math.hypot(phi - phi0, psi) - conv, -1, True),
+        (lambda phi, psi: max(abs(phi) / cap_phi, abs(psi) / cap_psi) - 1.0, 1, True),
     )
-    if not sol.success:
-        if not np.all(np.isfinite(sol.y)):
-            raise NonFiniteState(f"non-finite state during integration: {sol.message}")
-        raise StepSizeUnderflow(sol.message)
-    if not np.all(np.isfinite(sol.y)):
+    t, y, interpolant, t_events, status, message = _dop853(
+        params, float(seed.t), (float(seed.phi), float(seed.psi)),
+        float(seed.t + t_max), tol.rel_tol, tol.abs_tol, event_fns)
+    if status == -1:
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteState(f"non-finite state during integration: {message}")
+        raise StepSizeUnderflow(message)
+    if not np.all(np.isfinite(y)):
         raise NonFiniteState("integration produced non-finite samples")
 
     events: list[Event] = []
-    for kind, t_ev in (
-        (EventKind.PSI_ZERO, sol.t_events[0]),
-        (EventKind.PHI_EQUALS_PHI0, sol.t_events[1]),
-    ):
+    for kind, t_ev in ((EventKind.PSI_ZERO, t_events[0]),
+                       (EventKind.PHI_EQUALS_PHI0, t_events[1])):
         for te in t_ev:
-            y = sol.sol(te)
-            events.append(Event(kind, float(te), PhasePoint(float(y[0]), float(y[1]), float(te))))
+            phi, psi = interpolant(te)
+            point = PhasePoint(float(phi), float(psi), float(te))
+            events.append(Event(kind, float(te), point))
     events.sort(key=lambda e: e.t)
 
-    if sol.status == 1 and len(sol.t_events[2]) > 0:
+    if status == 1 and t_events[2]:
         spec = spectra(params)
         contracting = spec.mu3.real < 0 and spec.mu4.real < 0
-        tail = min(10, sol.t.shape[0])
-        dist = np.hypot(sol.y[0, -tail:] - phi0, sol.y[1, -tail:])
+        tail = min(10, t.shape[0])
+        dist = np.hypot(y[0, -tail:] - phi0, y[1, -tail:])
         decreasing = bool(np.all(np.diff(dist) < tol.conv_radius))
         terminal = (
             Terminal.CONVERGED_TO_P1
             if (contracting and decreasing)
             else Terminal.MAX_TIME_REACHED
         )
-    elif sol.status == 1:
+    elif status == 1:
         terminal = Terminal.LEFT_DOMAIN
     else:
         terminal = Terminal.MAX_TIME_REACHED
 
     return Orbit(
-        t=sol.t,
-        phi=sol.y[0],
-        psi=sol.y[1],
+        t=t,
+        phi=y[0],
+        psi=y[1],
         events=events,
         terminal=terminal,
         params=params,
         tolerances=tol,
-        interpolant=sol.sol,
+        interpolant=interpolant,
     )
 
 

@@ -141,6 +141,57 @@ def test_dirichlet_nonfinite_boundary(value, monkeypatch, capsys):
     assert "finite" in captured.err
 
 
+def _integrating_nothing(monkeypatch):
+    def integrate_orbit(*args, **kwargs):
+        raise AssertionError("integrated before the input was checked")
+
+    monkeypatch.setattr(dynamics, "integrate_orbit", integrate_orbit)
+
+
+def test_dirichlet_negative_boundary_integrates_nothing(monkeypatch, capsys):
+    _integrating_nothing(monkeypatch)
+    code = main(["dirichlet", "--n", "3", "--p", "2", "--k", "2",
+                 "--phi-boundary", "-0.5", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--t-max", "--abs-tol", "--rel-tol", "--seed-epsilon"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_nonfinite_numbers_integrate_nothing(flag, value, monkeypatch, capsys):
+    _integrating_nothing(monkeypatch)
+    code = main(["portrait", "--n", "3", "--p", "2", "--k", "2", f"{flag}={value}",
+                 "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["sweep", "classify"])
+def test_config_format_has_the_flag_choices(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    code = main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "format must be one of json, csv" in captured.err
+
+
+@pytest.mark.parametrize("line", ["3 2 2 9", "3 2", "3 2 x", "3 2 2.0"])
+def test_sweep_list_line_must_be_three_integers(line, tmp_path, capsys):
+    listing = tmp_path / "triples.txt"
+    listing.write_text(f"# n p k\n3 2 2\n{line}  # bad\n")
+    code = main(["sweep", "--list", str(listing), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "line 3" in captured.err
+
+
 def test_verify_hopf(capsys):
     code, out = run_cli(["verify-hopf", "--no-timestamp"], capsys)
     assert code == 0

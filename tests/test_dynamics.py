@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import solve_ivp
 
 import loclab as L
-from loclab.dynamics import EventKind, Terminal, Tolerances
+from loclab import dynamics
+from loclab.dynamics import Event, EventKind, Orbit, Terminal, Tolerances
 from conftest import SWEEP, TIGHT
 
 FINITE = st.floats(-3.0, 3.0, allow_nan=False)
@@ -249,3 +251,183 @@ def test_nonfinite_and_validation(p322):
         L.integrate_orbit(
             p322, L.PhasePoint(float("nan"), 0.0, 0.0), t_max=1.0
         )
+
+
+# -- the DOP853 step loop against scipy's solve_ivp -----------------------------
+
+
+def _solve_ivp_orbit(params, seed, t_max=200.0, tol=Tolerances()):
+    """The reference: ``integrate_orbit`` as ``solve_ivp(method="DOP853")``
+    with the same four events, the field read through ``dynamics.vector_field``
+    at call time.  Returns the orbit and the number of field evaluations."""
+    phi0 = params.phi0
+    cap_phi, cap_psi = max(5.0 * phi0, 1.0), max(5.0 * phi0, 10.0)
+
+    def rhs(t, y):
+        phi, psi = y.tolist()
+        return dynamics.vector_field(L.PhasePoint(phi, psi, t), params)
+
+    def ev_converged(t, y):
+        return math.hypot(y[0] - phi0, y[1]) - tol.conv_radius
+
+    def ev_leave(t, y):
+        return max(abs(y[0]) / cap_phi, abs(y[1]) / cap_psi) - 1.0
+
+    ev_converged.terminal, ev_converged.direction = True, -1
+    ev_leave.terminal, ev_leave.direction = True, 1
+    sol = solve_ivp(rhs, (seed.t, seed.t + t_max), [seed.phi, seed.psi],
+                    method="DOP853", dense_output=True, rtol=tol.rel_tol,
+                    atol=tol.abs_tol, events=[lambda t, y: y[1], lambda t, y: y[0] - phi0,
+                                              ev_converged, ev_leave])
+    if not sol.success:
+        if not np.all(np.isfinite(sol.y)):
+            raise L.NonFiniteState(f"non-finite state during integration: {sol.message}")
+        raise L.StepSizeUnderflow(sol.message)
+    events = []
+    for kind, t_ev in ((EventKind.PSI_ZERO, sol.t_events[0]),
+                       (EventKind.PHI_EQUALS_PHI0, sol.t_events[1])):
+        for te in t_ev:
+            y = sol.sol(te)
+            point = L.PhasePoint(float(y[0]), float(y[1]), float(te))
+            events.append(Event(kind, float(te), point))
+    events.sort(key=lambda e: e.t)
+    if sol.status == 1 and len(sol.t_events[2]) > 0:
+        spec = L.spectra(params)
+        tail = min(10, sol.t.shape[0])
+        dist = np.hypot(sol.y[0, -tail:] - phi0, sol.y[1, -tail:])
+        converged = (spec.mu3.real < 0 and spec.mu4.real < 0
+                     and np.all(np.diff(dist) < tol.conv_radius))
+        terminal = Terminal.CONVERGED_TO_P1 if converged else Terminal.MAX_TIME_REACHED
+    elif sol.status == 1:
+        terminal = Terminal.LEFT_DOMAIN
+    else:
+        terminal = Terminal.MAX_TIME_REACHED
+    orbit = Orbit(t=sol.t, phi=sol.y[0], psi=sol.y[1], events=events, terminal=terminal,
+                  params=params, tolerances=tol, interpolant=sol.sol)
+    return orbit, sol.nfev
+
+
+_P322, _P324 = L.validate_params(3, 2, 2), L.validate_params(3, 2, 4)
+_LOOP_CASES = [
+    *((npk, L.seed_unstable(L.validate_params(*npk)), 200.0, tol)
+      for npk in SWEEP for tol in (Tolerances(), TIGHT)),
+    ((3, 2, 4), L.PhasePoint(1e-8, 3e-8, 0.0), -5.0, Tolerances(abs_tol=1e-16, rel_tol=1e-12)),
+    ((3, 2, 2), L.seed_unstable(_P322), 3.0, Tolerances()),
+    ((3, 2, 2), L.PhasePoint(0.5, 0.5, 0.0), -10.0, Tolerances()),
+    ((3, 2, 2), L.PhasePoint(1e-8, 1e-8, 5.0), 200.0, Tolerances()),
+]
+_LOOP_IDS = [*(f"{n}{p}{k}-{name}" for n, p, k in SWEEP for name in ("default", "tight")),
+               "backward", "t_max=3", "left-domain", "shifted-seed"]
+
+
+def _assert_same_orbit(orbit, ref):
+    for name in ("t", "phi", "psi"):
+        assert np.array_equal(getattr(orbit, name), getattr(ref, name)), name
+    assert orbit.events == ref.events
+    assert orbit.terminal is ref.terminal
+    grid = np.linspace(ref.t.min(), ref.t.max(), 1001)
+    for ts in (ref.t, grid, 0.5 * (ref.t[1:] + ref.t[:-1])):
+        assert np.array_equal(orbit.interpolant(ts), ref.interpolant(ts))
+    assert np.array_equal([s.F for s in orbit.interpolant.interpolants],
+                          [s.F for s in ref.interpolant.interpolants])
+
+
+@pytest.mark.parametrize("npk, seed, t_max, tol", _LOOP_CASES, ids=_LOOP_IDS)
+def test_dop853_matches_solve_ivp(npk, seed, t_max, tol, monkeypatch):
+    p = L.validate_params(*npk)
+    ref, nfev = _solve_ivp_orbit(p, seed, t_max, tol)
+    calls = []
+    field = dynamics.vector_field
+
+    def counted(point, params):
+        calls.append(None)
+        return field(point, params)
+
+    monkeypatch.setattr(dynamics, "vector_field", counted)
+    orbit = L.integrate_orbit(p, seed, t_max, tol)
+    _assert_same_orbit(orbit, ref)
+    assert len(calls) == nfev
+
+
+def test_dop853_matches_solve_ivp_at_the_rtol_floor():
+    # scipy raises rtol to 100 eps with a warning; _dop853 does the same
+    tol = Tolerances(abs_tol=1e-10, rel_tol=1e-20)
+    seed = L.seed_unstable(_P324)
+    with pytest.warns(UserWarning, match="rtol") as ref_warned:
+        ref, _ = _solve_ivp_orbit(_P324, seed, 200.0, tol)
+    with pytest.warns(UserWarning, match="rtol") as warned:
+        orbit = L.integrate_orbit(_P324, seed, 200.0, tol)
+    assert [str(w.message) for w in warned] == [str(w.message) for w in ref_warned]
+    _assert_same_orbit(orbit, ref)
+
+
+def test_dop853_fails_as_solve_ivp_on_a_nan_field(monkeypatch):
+    field = dynamics.vector_field
+
+    def poisoned(point, params):
+        x1, x2 = field(point, params)
+        return (x1, math.nan) if point.phi > 0.5 else (x1, x2)
+
+    monkeypatch.setattr(dynamics, "vector_field", poisoned)
+    seed = L.seed_unstable(_P322)
+    with pytest.raises(L.LoclabError) as ref:
+        _solve_ivp_orbit(_P322, seed)
+    with pytest.raises(L.LoclabError) as got:
+        L.integrate_orbit(_P322, seed)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("t_max", [0.0, math.nan])
+def test_integrate_orbit_rejects_degenerate_t_max(t_max):
+    with pytest.raises(ValueError, match="t_max"):
+        L.integrate_orbit(_P322, L.seed_unstable(_P322), t_max=t_max)
+
+
+def _dop853_and_reference(params, y0, t_max, tol, event_fns):
+    """``dynamics._dop853`` and ``solve_ivp`` on the same events, given as
+    (g(phi, psi), direction, terminal) triples."""
+    got = dynamics._dop853(params, 0.0, y0, t_max, tol.rel_tol, tol.abs_tol, event_fns)
+    wrapped = []
+    for g, direction, terminal in event_fns:
+        def ev(t, y, g=g):
+            return g(*y)
+        ev.direction, ev.terminal = direction, terminal
+        wrapped.append(ev)
+    ref = solve_ivp(lambda t, y: dynamics.vector_field(L.PhasePoint(*y.tolist(), t), params),
+                    (0.0, t_max), list(y0), method="DOP853", dense_output=True,
+                    rtol=tol.rel_tol, atol=tol.abs_tol, events=wrapped)
+    t, y, interpolant, t_events, status, _ = got
+    assert np.array_equal(t, ref.t) and np.array_equal(y, ref.y)
+    assert np.array_equal(interpolant(ref.t), ref.sol(ref.t))
+    assert len(interpolant.interpolants) == len(ref.sol.interpolants)
+    assert [list(te) for te in ref.t_events] == t_events
+    assert status == ref.status
+    return got
+
+
+def test_dop853_drops_the_step_whose_terminal_root_is_its_start():
+    # g = -(phi - phi(t1))^2 touches zero at the first node from below, so the
+    # root is found only in the second step, at its start: that step is dropped
+    tol = Tolerances()
+    y0 = (1e-8, 1e-8)
+    free = dynamics._dop853(_P322, 0.0, y0, 200.0, tol.rel_tol, tol.abs_tol, ())
+    phi1 = free[1][0, 1]
+    t, *_ = _dop853_and_reference(_P322, y0, 200.0, tol,
+                                  ((lambda phi, psi: -(phi - phi1) ** 2, -1, True),))
+    assert np.array_equal(t, free[0][:2])
+
+
+def test_dop853_ends_a_backward_run_at_the_latest_terminal_root():
+    # two terminal events inside the first backward step: the one met first
+    # going backward (the larger t) ends the run
+    tol = Tolerances(abs_tol=1e-16, rel_tol=1e-12)
+    y0 = (1e-8, 3e-8)
+    free = dynamics._dop853(_P324, 0.0, y0, -5.0, tol.rel_tol, tol.abs_tol, ())
+    a, b = free[1][0, :2]
+    near, far = a + 0.25 * (b - a), a + 0.75 * (b - a)
+    t, _, _, t_events, status, _ = _dop853_and_reference(
+        _P324, y0, -5.0, tol, ((lambda phi, psi: phi - far, 0, True),
+                               (lambda phi, psi: phi - near, 0, True)))
+    assert status == 1 and t_events[0] == [] and len(t_events[1]) == 1
+    assert free[0][1] < t[-1] < 0.0
