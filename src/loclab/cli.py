@@ -50,7 +50,6 @@ class RunConfig:
     phi_boundary: str | float | None = None
     output_dir: str | None = None
     format: str = "json"
-    jobs: int = 1
     relaxed: bool = False
     no_timestamp: bool = False
     sweep_list: str | None = None
@@ -196,7 +195,8 @@ def _sweep_row(n: int, p: int, k: int, relaxed: bool) -> dict:
 
 def _read_triples(path: str) -> list[tuple[int, int, int]]:
     """The 'n p k' lines of a sweep list; '#' starts a comment, commas count
-    as spaces, and any other line than three integers is refused."""
+    as spaces, and any other line than three integers is refused, as is a
+    list with no triples."""
     triples = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         fields = line.split("#", 1)[0].replace(",", " ").split()
@@ -208,14 +208,13 @@ def _read_triples(path: str) -> list[tuple[int, int, int]]:
             raise ValueError(f"{path} line {lineno}: expected three integers "
                              f"'n p k', got {line.strip()!r}") from None
         triples.append((n, p, k))
+    if not triples:
+        raise ValueError(f"{path}: no 'n p k' triples")
     return triples
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     triples = _read_triples(cfg.sweep_list) if cfg.sweep_list else SWEEP_DEFAULT
-    if cfg.jobs > 1:
-        print("loclab: --jobs is deprecated and ignored; the sweep runs serially",
-              file=sys.stderr)
     rows = [_sweep_row(n, p, k, cfg.relaxed) for (n, p, k) in triples]
     header = ["n", "p", "k", "type", "phi0", "cos_alpha", "volume_ratio",
               "slope_W", "verdict"]
@@ -279,13 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--t-max", type=float, dest="t_max")
     ap.add_argument("--abs-tol", type=float, dest="abs_tol")
     ap.add_argument("--rel-tol", type=float, dest="rel_tol")
-    ap.add_argument("--event-tol", type=float, dest="event_tol",
-                    help="deprecated; ignored")
     ap.add_argument("--seed-epsilon", type=float, dest="seed_epsilon")
     ap.add_argument("--phi-boundary", dest="phi_boundary")
     ap.add_argument("--out", dest="output_dir")
     ap.add_argument("--format", choices=FORMATS)
-    ap.add_argument("--jobs", type=int, help="deprecated; sweeps run serially")
     ap.add_argument("--relaxed", action="store_true", default=None)
     ap.add_argument("--no-timestamp", action="store_true", default=None,
                     dest="no_timestamp")
@@ -305,8 +301,6 @@ def _has_type(value, hint) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.event_tol is not None:
-        print("loclab: --event-tol is deprecated and ignored", file=sys.stderr)
     cfg = RunConfig(command=args.command)
     # every field but the subcommand, which only the command line names
     settable = {k: v for k, v in typing.get_type_hints(RunConfig).items()

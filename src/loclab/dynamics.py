@@ -22,10 +22,9 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebvander
 from scipy.integrate import DOP853, OdeSolution
 from scipy.integrate._ivp.rk import Dop853DenseOutput
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import (
     InsufficientEvents,
@@ -108,13 +107,6 @@ def seed_unstable(params: LomseParams, epsilon: float = 1e-8) -> PhasePoint:
     return PhasePoint(phi=epsilon, psi=epsilon * (params.k - 1), t=0.0)
 
 
-# The dense output of one solver step is a degree-7 polynomial: its values at
-# 9 Chebyshev nodes of the step (scaled to u in [-1, 1]) recover it exactly, and
-# _CHEB_DIFF maps them to the Chebyshev coefficients of its derivative d/du.
-_CHEB_U = np.cos(np.pi * np.arange(9) / 8)
-_CHEB_DIFF = chebder(np.linalg.inv(chebvander(_CHEB_U, 8)))
-
-
 @dataclass(frozen=True)
 class Orbit:
     """An integrated orbit with its dense-output interpolant."""
@@ -140,43 +132,40 @@ class Orbit:
         return (self.interpolant.ts, *(np.array([getattr(s, name) for s in steps])
                                        for name in ("t_old", "h", "y_old", "F")))
 
-    def states_at(self, t) -> np.ndarray:
-        """(phi, psi) at an array of times, shape (2,) + t.shape: equal to
-        ``interpolant(t)`` element for element, with one pass over the stacked
-        table instead of one scipy call per step.  The segment choice and the
-        alternating x / (1 - x) Horner loop are scipy's own."""
+    def _read(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(phi, psi) and their t-derivatives at an array of times, each of
+        shape (2,) + t.shape, in one pass over the stacked table.  The segment
+        rule is ``OdeSolution``'s for either direction of integration, and the
+        values come from scipy's alternating x / (1 - x) Horner loop in its
+        own order, so they equal ``interpolant(t)`` bit for bit; the product
+        rule carries d/dx through the same loop."""
         ts, t_old, h, y_old, F = self._dense_table
         t = np.asarray(t, dtype=float)
-        seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(ts) - 2)
+        way = 1.0 if ts[-1] >= ts[0] else -1.0
+        seg = np.clip(np.searchsorted(way * ts, way * t, side="left") - 1, 0, len(ts) - 2)
         x = ((t - t_old[seg]) / h[seg])[..., None]
         coef = F[seg]
         y = np.zeros(t.shape + (2,))
+        dy = np.zeros(t.shape + (2,))
         for i in range(7):
             y += coef[..., 6 - i, :]
-            y *= x if i % 2 == 0 else 1 - x
+            m, dm = (x, 1.0) if i % 2 == 0 else (1 - x, -1.0)
+            dy = dy * m + dm * y
+            y *= m
         y += y_old[seg]
-        return np.moveaxis(y, -1, 0)
+        return np.moveaxis(y, -1, 0), np.moveaxis(dy / h[seg][..., None], -1, 0)
+
+    def states_at(self, t) -> np.ndarray:
+        """(phi, psi) at an array of times, shape (2,) + t.shape: equal to
+        ``interpolant(t)`` element for element."""
+        return self._read(t)[0]
 
     def psi_t_at(self, t):
-        """d(psi)/dt recovered by exact differentiation of the dense-output
-        segment polynomial (not by substituting the vector field, which would
-        make downstream residual checks vacuous).  ``t`` may be a 1-D array:
-        psi is read at the nodes of all its segments in one table pass."""
-        tq = np.atleast_1d(np.asarray(t, dtype=float))
-        ts = self.interpolant.ts
-        seg = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
-        segs, which = np.unique(seg, return_inverse=True)
-        ta, tb = ts[segs], ts[segs + 1]
-        if np.any(tb <= ta):
-            raise NonFiniteState("degenerate interpolation segment")
-        nodes = 0.5 * (ta + tb)[:, None] + 0.5 * (tb - ta)[:, None] * _CHEB_U
-        psis = self.states_at(nodes)[1]
-        # row sums, not matmul: a point's value must not depend on the batch
-        dcoef = np.sum(psis[:, None, :] * _CHEB_DIFF, axis=2)[which]
-        ta, tb = ta[which], tb[which]
-        u0 = (2.0 * tq - (ta + tb)) / (tb - ta)
-        out = np.sum(chebvander(u0, 7) * dcoef, axis=1) * 2.0 / (tb - ta)
-        return float(out[0]) if np.ndim(t) == 0 else out
+        """d(psi)/dt by exact differentiation of the dense-output step
+        polynomial (not by substituting the vector field, which would make
+        downstream residual checks vacuous); a float for a scalar ``t``."""
+        psi_t = self._read(t)[1][1]
+        return float(psi_t) if np.ndim(t) == 0 else psi_t
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
@@ -475,7 +464,8 @@ class Profile:
 
     def values_at(self, r) -> tuple[np.ndarray, ...]:
         """(rho, rho_r, rho_rr) at a 1-D array of radii, with one table pass
-        for the states and one for psi_t; the scalar accessors above read it."""
+        for the states and their t-derivatives; the scalar accessors above
+        read it."""
         r = np.asarray(r, dtype=float)
         k, c, rr = self.params.k, self._c_ext, np.maximum(r, 0.0)
         vals = np.array([c * rr**k, c * k * rr ** (k - 1),
@@ -484,8 +474,8 @@ class Profile:
         on = r >= self.r_min
         if np.any(on):
             t = np.log(np.minimum(r[on], self.r_max))
-            phi, psi = self.orbit.states_at(t)
-            vals[:, on] = r[on] * phi, phi + psi, (self.orbit.psi_t_at(t) + psi) / r[on]
+            (phi, psi), (_, psi_t) = self.orbit._read(t)
+            vals[:, on] = r[on] * phi, phi + psi, (psi_t + psi) / r[on]
         return tuple(vals)
 
 
@@ -667,10 +657,20 @@ def barrier_certificate_A3(
     )
 
 
-def _F_spiral(s: float) -> float:
-    return (4.0 / 25.0) * ((3.0 + 5.0 * s) / (1.0 + s)) ** 2 * (1.0 + 5.0 * s) / (
-        1.0 + 10.0 * s
-    )
+def _spiral_bound(s: Fraction) -> Fraction:
+    """The rational bound F(s) of the spiral case, in exact arithmetic."""
+    return Fraction(4, 25) * ((3 + 5 * s) / (1 + s)) ** 2 * (1 + 5 * s) / (1 + 10 * s)
+
+
+def _spiral_gap(s: Fraction) -> Fraction:
+    """F(s) - 32/27 in closed form: nonnegative for s > 0, zero only at 1/5."""
+    return 4 * (5 * s - 1) ** 2 * (55 * s + 43) / (675 * (s + 1) ** 2 * (10 * s + 1))
+
+
+# Times the common denominator 675 (s+1)^2 (10s+1), both sides of
+# F(s) - 32/27 = _spiral_gap(s) are cubics, so agreement at 4 distinct
+# points proves the identity; one more point is a margin.
+_SPIRAL_POINTS = tuple(Fraction(v) for v in ("0", "1/5", "1", "2", "10"))
 
 
 def _quarter_strip_max(params: LomseParams, m2: int) -> float:
@@ -693,7 +693,8 @@ def barrier_certificate_A4(
     """Invariant-region certificate for the spiral (TypeII) cases.
 
     Checks, in order: the exact value F(1/5) = 32/27 of the rational bound,
-    its numerical global minimality over s > 0, the inward inequality for
+    the exact identity F(s) - 32/27 = 4(5s-1)^2(55s+43)/(675(s+1)^2(10s+1)),
+    which makes 32/27 the minimum of F over s > 0, the inward inequality for
     the barrier g(phi) = (2 f1(phi) + 1/5) phi on (0, phi0), the bottom edge,
     and the no-limit-cycle inequality Y2 + X2 < 0 over the quarter strip
     phi >= sqrt((3p-n-1)/(3(n-p))), psi > 0.
@@ -701,13 +702,9 @@ def barrier_certificate_A4(
     if params.stability is not Stability.TYPE_II:
         raise WrongCase(f"{params} is TypeI; use barrier_certificate_A3")
 
-    s = Fraction(1, 5)
-    F_exact = (
-        Fraction(4, 25) * ((3 + 5 * s) / (1 + s)) ** 2 * (1 + 5 * s) / (1 + 10 * s)
-    )
-    res = minimize_scalar(_F_spiral, bounds=(1e-12, 50.0), method="bounded",
-                          options={"xatol": 1e-12})
-    min_dev = abs(res.fun - 32.0 / 27.0)
+    F_exact = _spiral_bound(Fraction(1, 5))
+    identity_dev = sum(abs(_spiral_bound(s) - Fraction(32, 27) - _spiral_gap(s))
+                       for s in _SPIRAL_POINTS)
 
     def g(phi: float) -> float:
         return (2.0 * f1(phi, params) + 0.2) * phi
@@ -722,7 +719,8 @@ def barrier_certificate_A4(
 
     checks = [
         _signed_check("F(1/5) - 32/27 exact", F_exact - Fraction(32, 27), "==0"),
-        _signed_check("1e-10 - |min F - 32/27|", 1e-10 - min_dev, ">0"),
+        _signed_check("F(s) - 32/27 - 4(5s-1)^2(55s+43)/(675(s+1)^2(10s+1)) exact",
+                      identity_dev, "==0"),
         _signed_check("inward margin on psi=g(phi)", margin_b, ">0"),
         _signed_check("X2 on psi=0 edge", margin_a, ">0"),
         _signed_check("max(Y2+X2) on quarter strip", worst_lem, "<0"),

@@ -163,8 +163,11 @@ def _graph_volumes(profile, params: LomseParams, radii: np.ndarray,
         raise DomainTooShort(f"R={radii[-1]} exceeds profile range r_max={profile.r_max}")
     eps = min(rel_tol, 1e-8) * 1e-2
     r_lo = min(profile.r_min if profile.r_min > 0.0 else radii[0] * 1e-12, radii[0])
+    # quad refuses an epsrel below 50 eps; this piece is about r_lo^(n+1)
+    # of the total, so the floor costs nothing at any rel_tol
     base = quad(lambda r: _volume_weight(profile, params, np.array([r]))[0],
-                0.0, r_lo, epsabs=0.0, epsrel=eps, limit=200)[0]
+                0.0, r_lo, epsabs=0.0, epsrel=max(eps, 50 * np.finfo(float).eps),
+                limit=200)[0]
     knots = np.unique(np.log(np.concatenate([[r_lo], radii])))
     edges = [np.linspace(lo, hi, math.ceil((hi - lo) * (params.n + 1)) + 1)
              for lo, hi in zip(knots[:-1], knots[1:])]

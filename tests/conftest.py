@@ -13,6 +13,8 @@ from loclab.dynamics import Tolerances
 
 # tight enough to resolve the fourth oscillation of the (3,2,4) spiral
 TIGHT = Tolerances(abs_tol=1e-13, rel_tol=1e-13, conv_radius=1e-11)
+# a backward run from the seed to t = -5 resolves phi down to about 1e-12
+BACKWARD = Tolerances(abs_tol=1e-16, rel_tol=1e-12)
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +40,12 @@ def orbit_322(p322):
 @pytest.fixture(scope="session")
 def orbit_324(p324):
     return L.integrate_orbit(p324, L.seed_unstable(p324, 1e-8), tolerances=TIGHT)
+
+
+@pytest.fixture(scope="session")
+def orbit_324_backward(p324):
+    return L.integrate_orbit(p324, L.seed_unstable(p324, 1e-8), t_max=-5.0,
+                             tolerances=BACKWARD)
 
 
 @pytest.fixture(scope="session")

@@ -61,7 +61,7 @@ def test_criterion_02_barrier_rationals():
     ok &= val(c3, "F(0)") == 0 and val(c3, "G(0)") == Fraction(5, 7)
     ok &= c4.case_id is CaseId.A4
     ok &= val(c4, "F(1/5) - 32/27 exact") == 0
-    ok &= next(c.passed for c in c4.checks if c.name == "1e-10 - |min F - 32/27|")
+    ok &= val(c4, "F(s) - 32/27 - 4(5s-1)^2(55s+43)/(675(s+1)^2(10s+1)) exact") == 0
     _report(2, "barrier constants in exact rational arithmetic", ok)
 
 

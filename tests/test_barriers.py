@@ -7,7 +7,10 @@ from fractions import Fraction
 import pytest
 
 import loclab as L
+from loclab import dynamics
 from loclab.dynamics import CaseId
+
+IDENTITY = "F(s) - 32/27 - 4(5s-1)^2(55s+43)/(675(s+1)^2(10s+1)) exact"
 
 
 def _check(cert, name):
@@ -68,8 +71,19 @@ def test_a4_certificates():
         assert cert.case_id is CaseId.A4
         assert cert.c is None
         assert _check(cert, "F(1/5) - 32/27 exact").value == 0
-        assert _check(cert, "1e-10 - |min F - 32/27|").passed
+        assert _check(cert, IDENTITY).value == 0
         assert cert.passed, [c for c in cert.checks if not c.passed]
+
+
+@pytest.mark.parametrize("c, a, b, d", [(5, 55, 43, 675), (4, 56, 43, 675),
+                                        (4, 55, 42, 675), (4, 55, 43, 676)])
+def test_a4_identity_fails_for_a_perturbed_coefficient(c, a, b, d, monkeypatch):
+    monkeypatch.setattr(dynamics, "_spiral_gap", lambda s: c * (5 * s - 1) ** 2 * (
+        a * s + b) / (d * (s + 1) ** 2 * (10 * s + 1)))
+    cert = L.barrier_certificate_A4(L.validate_params(3, 2, 4))
+    check = _check(cert, IDENTITY)
+    assert check.value > 0
+    assert not check.passed and not cert.passed
 
 
 def test_certificate_pass_is_conjunction():

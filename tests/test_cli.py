@@ -213,45 +213,42 @@ def test_sweep_csv(tmp_path, capsys):
     assert {r[3] for r in rows[1:]} == {"TypeI", "TypeII"}
 
 
-def test_sweep_list_file_and_jobs(tmp_path, capsys):
+def test_sweep_list_file(tmp_path, capsys):
     listing = tmp_path / "triples.txt"
     listing.write_text("3 2 2\n5,4,4  # with a comment\n")
-    code, out = run_cli(
-        ["sweep", "--list", str(listing), "--jobs", "2", "--no-timestamp"],
-        capsys,
-    )
+    code, out = run_cli(["sweep", "--list", str(listing), "--no-timestamp"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert [(r["n"], r["p"], r["k"]) for r in doc["rows"]] == [(3, 2, 2), (5, 4, 4)]
 
 
-def test_jobs_is_deprecated_and_serial(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_list_without_triples_is_refused(fmt, tmp_path, capsys):
     listing = tmp_path / "triples.txt"
-    listing.write_text("3 2 2\n")
-    args = ["sweep", "--list", str(listing), "--no-timestamp"]
-    assert main(args + ["--jobs", "3"]) == 0
-    parallel = capsys.readouterr()
-    assert "--jobs is deprecated" in parallel.err
-    assert main(args + ["--jobs", "1"]) == 0
-    serial = capsys.readouterr()
-    assert serial.err == ""
-    assert serial.out == parallel.out
+    listing.write_text("# nothing\n\n   \n")
+    out = tmp_path / "out"
+    code = main(["sweep", "--list", str(listing), "--format", fmt,
+                 "--out", str(out), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{listing}: no 'n p k' triples" in captured.err
+    assert not out.exists()
 
 
-def test_event_tol_is_deprecated_and_ignored(tmp_path, capsys):
-    args = ["classify", "--n", "3", "--p", "2", "--k", "2", "--no-timestamp"]
-    assert main(args + ["--event-tol", "-1"]) == 0
-    flagged = capsys.readouterr()
-    assert flagged.err == "loclab: --event-tol is deprecated and ignored\n"
-    assert main(args) == 0
-    plain = capsys.readouterr()
-    assert plain.err == ""
-    assert plain.out == flagged.out
+@pytest.mark.parametrize("flag, key, value", [("--jobs", "jobs", 2),
+                                              ("--event-tol", "event_tol", 1e-12)],
+                         ids=["jobs", "event_tol"])
+def test_removed_flags_and_keys_exit_2(flag, key, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--n", "3", "--p", "2", "--k", "2", flag, str(value)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     # the field is gone, so a config file naming it is an unknown key
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"event_tol": 1e-12}))
+    cfg.write_text(json.dumps({key: value}))
     assert main(["classify", "--config", str(cfg)]) == 2
-    assert "unknown config key: event_tol" in capsys.readouterr().err
+    assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
 def test_config_file(tmp_path, capsys):

@@ -120,6 +120,21 @@ def test_nonminimizing_verdict(profile_324, orbit_324, p324):
     assert all(t <= rep.theta_cone + 1e-6 for t in rep.theta_seq)
 
 
+@pytest.mark.parametrize("npk", [(3, 2, 4), (3, 2, 6)])
+def test_nonminimizing_verdict_at_tight_quadrature_tolerance(npk):
+    # quad refuses an epsrel below 50 eps, which the piece under r_min would
+    # ask for at rel_tol below about 1.1e-12; its floor leaves the densities
+    p = L.validate_params(*npk)
+    orbit = L.integrate_orbit(p, L.seed_unstable(p, 1e-8))
+    prof = L.extract_profile(orbit, p)
+    loose = L.nonminimizing_verdict(prof, orbit, p, rel_tol=1e-10)
+    tight = L.nonminimizing_verdict(prof, orbit, p, rel_tol=1e-13)
+    assert tight.verdict is loose.verdict is L.Verdict.NON_MINIMIZING
+    assert np.allclose(tight.theta_seq, loose.theta_seq, rtol=1e-14, atol=0.0)
+    assert L.density_at(prof, p, 1.0, rel_tol=1e-13) == pytest.approx(
+        L.density_at(prof, p, 1.0, rel_tol=1e-10), rel=1e-14)
+
+
 def test_nonminimizing_wrong_type(profile_322, orbit_322, p322):
     with pytest.raises(L.WrongType):
         L.nonminimizing_verdict(profile_322, orbit_322, p322)
