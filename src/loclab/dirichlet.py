@@ -57,21 +57,35 @@ def _find_crossings(orbit: Orbit, level: float, refine: int = 8) -> list[float]:
     """All t with phi(t) = level, located by root-finding on the dense output.
 
     Each solver step is subdivided so that sign changes inside long steps are
-    not missed; the whole grid is read in one interpolant call and ``brentq``
-    runs only on the bracketing subintervals.  Duplicate roots from adjacent
-    subintervals are merged.
+    not missed, and ``brentq`` runs only on the bracketing subintervals.
+    Duplicate roots from adjacent subintervals are merged.
+
+    Only the steps whose polynomial can reach the level are read
+    (``Orbit.steps_reaching_phi``, an exact bound), each with both of its
+    neighbours, because ``OdeSolution`` reads a step's end nodes from an
+    adjacent segment (the one before it under its default tie rule, in either
+    direction of integration).  The grid of the kept steps is read in one
+    interpolant call.  Each value read equals its value in a scan of every
+    step, and no other step has a grid value on or across the level, so the
+    crossings equal those of a scan of every step.
     """
     ts = orbit.t
     if len(ts) < 2:
         return []
-    grid = np.linspace(ts[:-1], ts[1:], refine + 1, axis=1)
+    near = orbit.steps_reaching_phi(level)
+    keep = near.copy()
+    keep[1:] |= near[:-1]
+    keep[:-1] |= near[1:]
+    if not keep.any():
+        return []
+    grid = np.linspace(ts[:-1], ts[1:], refine + 1, axis=1)[keep]
     vals = orbit.interpolant(grid.ravel())[0].reshape(grid.shape) - level
     fa, fb = vals[:, :-1], vals[:, 1:]
     roots = [float(a) for a in grid[:, :-1][fa == 0.0]]
     for i, j in zip(*np.nonzero(fa * fb < 0.0)):
         roots.append(float(brentq(lambda t: orbit.point_at(t).phi - level, grid[i, j],
                                   grid[i, j + 1], xtol=1e-13, rtol=1e-15)))
-    if vals[-1, -1] == 0.0:
+    if keep[-1] and vals[-1, -1] == 0.0:
         roots.append(float(ts[-1]))
     merged: list[float] = []
     for t in sorted(roots):

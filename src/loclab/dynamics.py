@@ -91,9 +91,13 @@ def vector_field(point: PhasePoint, params: LomseParams) -> tuple:
     ``point`` may hold arrays (so may ``phi`` in f1, f2): each element then
     gets exactly the value of the scalar call."""
     phi, psi = point.phi, point.psi
+    lam2, n, p = params.lambda2_float, params.n, params.p
+    # f1 and f2 inline around one denominator, in their own operation order
+    d = 1.0 + lam2 * phi * phi
+    f2_ = n - p + p / d
+    f1_ = (lam2 - 1.0) * p / d - (n - p)
     s = phi + psi
-    x2 = -psi - (f2(phi, params) * psi - f1(phi, params) * phi) * (1.0 + s * s)
-    return psi, x2
+    return psi, -psi - (f2_ * psi - f1_ * phi) * (1.0 + s * s)
 
 
 def seed_unstable(params: LomseParams, epsilon: float = 1e-8) -> PhasePoint:
@@ -105,6 +109,13 @@ def seed_unstable(params: LomseParams, epsilon: float = 1e-8) -> PhasePoint:
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return PhasePoint(phi=epsilon, psi=epsilon * (params.k - 1), t=0.0)
+
+
+_EPS = float(np.finfo(float).eps)
+# Rounding allowance of ``Orbit.steps_reaching_phi``, per unit of |phi_old| +
+# reach + |level|: with x and 1 - x in [0, 1], Horner's 14 roundings, the add
+# of y_old and the test's own sums and difference stay below 20 ulps of it.
+_REACH_MARGIN = 32 * _EPS
 
 
 @dataclass(frozen=True)
@@ -155,6 +166,18 @@ class Orbit:
         y += y_old[seg]
         return np.moveaxis(y, -1, 0), np.moveaxis(dy / h[seg][..., None], -1, 0)
 
+    def steps_reaching_phi(self, level: float) -> np.ndarray:
+        """Per solver step, False only if no read of phi on the step can equal
+        or pass ``level``.  On step i the dense output is phi_old + x (F0 +
+        (1 - x)(F1 + x (F2 + ...))) with x and 1 - x in [0, 1], so phi stays
+        within reach_i = sum_j |F_j| of phi_old (Hairer-Norsett-Wanner I,
+        II.6); a step is False when |phi_old - level| exceeds reach_i by more
+        than ``_REACH_MARGIN`` of |phi_old| + reach_i + |level|."""
+        _, _, _, y_old, F = self._dense_table
+        phi_old, reach = y_old[:, 0], np.abs(F[:, :, 0]).sum(axis=1)
+        return np.abs(phi_old - level) <= reach + _REACH_MARGIN * (
+            np.abs(phi_old) + reach + abs(level))
+
     def states_at(self, t) -> np.ndarray:
         """(phi, psi) at an array of times, shape (2,) + t.shape: equal to
         ``interpolant(t)`` element for element."""
@@ -173,7 +196,6 @@ class Orbit:
 
 # DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.5) as scipy runs it: the
 # tableau is scipy's, and so are the step-size control constants below.
-_EPS = float(np.finfo(float).eps)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _STAGES = DOP853.n_stages
@@ -236,6 +258,7 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
     stages = _stage_plan(K, DOP853.A[1:], _C[1:], 1)
     extra = _stage_plan(K, DOP853.A_EXTRA, _C_EXTRA, _STAGES + 1)
     E3, E5 = DOP853.E3, DOP853.E5
+    kt_b, kt_e = K[:_STAGES].T, K[:_STAGES + 1].T
     y0, y1 = y
     f = vector_field(PhasePoint(y0, y1, t0), params)
     h_abs = _initial_step(t0, y, f, t_bound, direction, rtol, atol, params)
@@ -259,18 +282,19 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
             h_abs = abs(h)
             K[0] = f
             _fill_stages(stages, t, y0, y1, h, params)
-            d0, d1 = np.dot(K[:_STAGES].T, DOP853.B).tolist()
+            d0, d1 = np.dot(kt_b, DOP853.B).tolist()
             n0, n1 = y0 + h * d0, y1 + h * d1
             f_new = vector_field(PhasePoint(n0, n1, t + h), params)
             K[_STAGES] = f_new
             scale = np.array((atol + max(abs(y0), abs(n0)) * rtol,
                               atol + max(abs(y1), abs(n1)) * rtol))
-            err5 = np.linalg.norm(np.dot(K[:_STAGES + 1].T, E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K[:_STAGES + 1].T, E3) / scale) ** 2
+            # np.linalg.norm of a real vector is sqrt(v.dot(v)), rounding included
+            v5, v3 = np.dot(kt_e, E5) / scale, np.dot(kt_e, E3) / scale
+            err5, err3 = math.sqrt(v5.dot(v5)) ** 2, math.sqrt(v3.dot(v3)) ** 2
             if err5 == 0 and err3 == 0:
                 err = 0.0
             else:
-                err = float(abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * 2))
+                err = abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 2)
             if err < 1:
                 factor = (_MAX_FACTOR if err == 0
                           else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
@@ -697,10 +721,15 @@ def barrier_certificate_A4(
     which makes 32/27 the minimum of F over s > 0, the inward inequality for
     the barrier g(phi) = (2 f1(phi) + 1/5) phi on (0, phi0), the bottom edge,
     and the no-limit-cycle inequality Y2 + X2 < 0 over the quarter strip
-    phi >= sqrt((3p-n-1)/(3(n-p))), psi > 0.
+    phi >= sqrt((3p-n-1)/(3(n-p))), psi > 0.  Raises ``WrongCase`` for a
+    TypeI triple, and for a relaxed one with 3p < n + 1, where that threshold
+    is not real.
     """
     if params.stability is not Stability.TYPE_II:
         raise WrongCase(f"{params} is TypeI; use barrier_certificate_A3")
+    if 3 * params.p < params.n + 1:
+        raise WrongCase(f"{params}: the quarter strip needs 3p >= n + 1 for its "
+                        f"threshold sqrt((3p-n-1)/(3(n-p))), got 3p = {3 * params.p}")
 
     F_exact = _spiral_bound(Fraction(1, 5))
     identity_dev = sum(abs(_spiral_bound(s) - Fraction(32, 27) - _spiral_gap(s))

@@ -132,7 +132,7 @@ def validate_params(n: int, p: int, k: int, relaxed: bool = False) -> LomseParam
     phi0 = math.sqrt(float(phi0_sq))
 
     disc = Fraction(n * n - 6 * n + 1) + Fraction(8 * n * n, K)
-    if relaxed and family is None:
+    if relaxed:  # the lists cover admissible triples only, not e.g. odd k
         stability = Stability.TYPE_II if disc < 0 else Stability.TYPE_I
     else:
         stability = _stability_from_lists(n, p, k)

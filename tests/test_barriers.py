@@ -65,6 +65,15 @@ def test_a4_wrong_case():
         L.barrier_certificate_A4(L.validate_params(3, 2, 2))
 
 
+@pytest.mark.parametrize("npk", [(3, 1, 3), (4, 1, 8), (5, 1, 6)])
+def test_a4_needs_a_real_strip_threshold(npk):
+    # relaxed TypeII triples with 3p < n + 1 have no real sqrt((3p-n-1)/(3(n-p)))
+    params = L.validate_params(*npk, relaxed=True)
+    assert params.stability is L.Stability.TYPE_II
+    with pytest.raises(L.WrongCase, match=r"3p >= n \+ 1"):
+        L.barrier_certificate_A4(params)
+
+
 def test_a4_certificates():
     for npk in ((3, 2, 4), (3, 2, 6), (5, 4, 6)):
         cert = L.barrier_certificate_A4(L.validate_params(*npk))

@@ -51,6 +51,25 @@ def test_barriers_rational_field(capsys):
     assert doc["certificate"]["pass"] is True
 
 
+def test_classify_relaxed_odd_k_of_a_family(capsys):
+    code, out = run_cli(
+        ["classify", "--n", "3", "--p", "2", "--k", "3", "--relaxed", "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)["params"]
+    assert doc["stability"] == "TypeII"
+    assert doc["relaxed"] is True
+
+
+def test_barriers_without_a_real_strip_threshold(capsys):
+    code = main(["barriers", "--n", "3", "--p", "1", "--k", "3", "--relaxed"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: WrongCase: ")
+    assert "3p >= n + 1" in err
+
+
 def test_determinism(capsys):
     args = ["classify", "--n", "5", "--p", "4", "--k", "6", "--no-timestamp"]
     _, first = run_cli(args, capsys)

@@ -6,9 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
+from scipy.integrate._ivp.rk import Dop853DenseOutput
+from scipy.optimize import brentq
 
 import loclab as L
-from loclab.dirichlet import MultiplicityKind
+from loclab.dirichlet import MultiplicityKind, _find_crossings
+from loclab.dynamics import Orbit, Terminal
+
+from conftest import SWEEP, TIGHT
 
 
 def test_type1_unique_solution(orbit_322, p322):
@@ -138,3 +144,105 @@ def test_nonminimizing_verdict_at_tight_quadrature_tolerance(npk):
 def test_nonminimizing_wrong_type(profile_322, orbit_322, p322):
     with pytest.raises(L.WrongType):
         L.nonminimizing_verdict(profile_322, orbit_322, p322)
+
+
+# ---------------------------------------------------------------------------
+# the crossing scan reads only the steps that can reach the level
+
+
+def _full_grid_scan(orbit, refine: int = 8):
+    """Reference: the scan over the refine grid of every solver step.  The
+    grid is read once; the returned function scans it at one level."""
+    ts = orbit.t
+    grid = np.linspace(ts[:-1], ts[1:], refine + 1, axis=1)
+    phi = orbit.interpolant(grid.ravel())[0].reshape(grid.shape)
+
+    def crossings(level: float) -> list[float]:
+        vals = phi - level
+        fa, fb = vals[:, :-1], vals[:, 1:]
+        roots = [float(a) for a in grid[:, :-1][fa == 0.0]]
+        for i, j in zip(*np.nonzero(fa * fb < 0.0)):
+            roots.append(float(brentq(lambda t: orbit.point_at(t).phi - level, grid[i, j],
+                                      grid[i, j + 1], xtol=1e-13, rtol=1e-15)))
+        if vals[-1, -1] == 0.0:
+            roots.append(float(ts[-1]))
+        merged: list[float] = []
+        for t in sorted(roots):
+            if not merged or t - merged[-1] > 1e-10:
+                merged.append(t)
+        return merged
+
+    return crossings
+
+
+def _edge_levels(orbit, rng) -> list[float]:
+    """0, phi0, max phi, the last node's values and node values phi(t_i) as
+    the interpolant reads them, which are exact zeros of grid points."""
+    p = orbit.params
+    nodes = orbit.interpolant(orbit.t)[0]
+    picks = rng.choice(len(nodes), 8, replace=False)
+    return [0.0, p.phi0, float(np.max(orbit.phi)), float(orbit.phi[-1]), float(nodes[-1]),
+            *(float(nodes[i]) for i in picks), *(float(orbit.phi[i]) for i in picks[:4])]
+
+
+@pytest.mark.parametrize("tol", [L.Tolerances(), TIGHT], ids=["default", "tight"])
+@pytest.mark.parametrize("triple", SWEEP)
+def test_pruned_scan_equals_the_full_grid(triple, tol):
+    p = L.validate_params(*triple)
+    orbit = L.integrate_orbit(p, L.seed_unstable(p), tolerances=tol)
+    rng = np.random.default_rng(sum(triple))
+    top = float(np.max(orbit.phi))
+    levels = [*rng.uniform(0.0, top, 48), *rng.uniform(0.999 * p.phi0, top, 12),
+              *_edge_levels(orbit, rng)]
+    full_grid = _full_grid_scan(orbit)
+    for level in levels:
+        assert _find_crossings(orbit, level) == full_grid(level)
+
+
+def test_pruned_scan_of_a_backward_orbit(orbit_324_backward):
+    orbit = orbit_324_backward
+    rng = np.random.default_rng(7)
+    nodes = orbit.interpolant(orbit.t)[0]
+    full_grid = _full_grid_scan(orbit)
+    for level in [*_edge_levels(orbit, rng), *nodes[::7], *rng.uniform(0.0, nodes[0], 20)]:
+        assert _find_crossings(orbit, float(level)) == full_grid(float(level))
+    assert _find_crossings(orbit, float(nodes[3])) != []
+
+
+def _synthetic_orbit(ts, phi_olds, Fs, params, alt_segment=False):
+    """An orbit whose step i has dense output phi_old + x (F0 + (1 - x)(F1 +
+    ...)) in phi (psi = 0); the segments need not meet."""
+    steps = [Dop853DenseOutput(a, b, np.array([y, 0.0]), np.column_stack([F, np.zeros(7)]))
+             for a, b, y, F in zip(ts[:-1], ts[1:], phi_olds, Fs)]
+    ts = np.array(ts, dtype=float)
+    sol = OdeSolution(ts, steps, alt_segment=alt_segment)
+    phi = sol(ts)[0]
+    return Orbit(t=ts, phi=phi, psi=np.zeros_like(phi), events=[],
+                 terminal=Terminal.CONVERGED_TO_P1, params=params,
+                 tolerances=L.Tolerances(), interpolant=sol)
+
+
+def _coeffs(*head):
+    return np.array([*head, *[0.0] * (7 - len(head))])
+
+
+@pytest.mark.parametrize("ts, phi_olds, Fs, level, alt", [
+    # reach is the sum over every F_j, not |F0| = |phi_new - phi_old|: a hump
+    pytest.param([0.0, 1.0], [0.0], [_coeffs(0.0, 1.0)], 0.2, False, id="hump"),
+    # a step that stands exactly on the level is kept (<=, not <)
+    pytest.param([0.0, 1.0], [0.0], [_coeffs()], 0.0, False, id="standing"),
+    # 1 + 0.6 ulp rounds to 1 + 1 ulp, one ulp beyond the reach: the margin
+    pytest.param([0.0, 1.0], [1.0], [_coeffs(0.6 * 2.0 ** -52)], 1.0 + 2.0 ** -52, False,
+                 id="rounding"),
+    # step 1 cannot reach 2, but OdeSolution reads its first node from step 0
+    pytest.param([0.0, 1.0, 2.0], [1.0, 3.0], [_coeffs(1.0), _coeffs()], 2.0, False,
+                 id="next-neighbour"),
+    # with the other tie rule, step 0 reads its last node from step 1
+    pytest.param([0.0, 1.0, 2.0], [3.0, 1.0], [_coeffs(), _coeffs(2.0)], 2.0, True,
+                 id="previous-neighbour"),
+])
+def test_pruned_scan_on_steps_at_the_edge_of_reach(ts, phi_olds, Fs, level, alt, p322):
+    orbit = _synthetic_orbit(ts, phi_olds, Fs, p322, alt)
+    ref = _full_grid_scan(orbit)(level)
+    assert ref
+    assert _find_crossings(orbit, level) == ref

@@ -30,6 +30,22 @@ def test_vector_field_examples(p322):
     assert L.vector_field(L.PhasePoint(0.5, 0.0), p322) == (0.0, 1.25)
 
 
+@pytest.mark.parametrize("triple", SWEEP)
+def test_vector_field_is_f1_f2_bit_for_bit(triple):
+    # vector_field writes f1 and f2 inline around one denominator; it must
+    # stay the composition of the two, on scalars and on arrays alike
+    p = L.validate_params(*triple)
+    rng = np.random.default_rng(sum(triple))
+    phi, psi = rng.uniform(-3.0, 3.0, (2, 400))
+    s = phi + psi
+    x1, x2 = L.vector_field(L.PhasePoint(phi, psi), p)
+    assert np.array_equal(x1, psi)
+    assert np.array_equal(x2, -psi - (L.f2(phi, p) * psi - L.f1(phi, p) * phi) * (1.0 + s * s))
+    for a, b in zip(phi[:50].tolist(), psi[:50].tolist()):
+        assert L.vector_field(L.PhasePoint(a, b), p) == (
+            b, -b - (L.f2(a, p) * b - L.f1(a, p) * a) * (1.0 + (a + b) * (a + b)))
+
+
 @given(phi=FINITE, psi=FINITE)
 def test_antisymmetry_exact(phi, psi):
     p = L.validate_params(3, 2, 4)

@@ -55,6 +55,19 @@ def test_relaxed_mode():
     assert p.stability in (L.Stability.TYPE_I, L.Stability.TYPE_II)
 
 
+def test_relaxed_stability_is_the_discriminant_sign():
+    # the stability lists cover admissible triples (even k) only; a relaxed
+    # triple of a family with odd k, such as (3, 2, 3), is a spiral
+    for n in range(2, 12):
+        for p in range(1, n):
+            for k in range(2, 9):
+                params = L.validate_params(n, p, k, relaxed=True)
+                assert (params.stability is L.Stability.TYPE_II) == (params.discriminant < 0)
+    params = L.validate_params(3, 2, 3, relaxed=True)
+    assert params.discriminant == Fraction(-16, 5)
+    assert params.stability is L.Stability.TYPE_II
+
+
 def test_singular_values():
     assert L.validate_params(3, 2, 2).lam == 2.0
     assert math.isclose(
