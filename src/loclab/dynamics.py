@@ -33,7 +33,7 @@ from .errors import (
     StepSizeUnderflow,
     WrongCase,
 )
-from .params import LomseParams, Stability, spectra
+from .params import LomseParams, Stability
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,11 @@ def _f1_prime(phi: float, params: LomseParams) -> float:
     return -(lam2 - 1.0) * params.p * 2.0 * lam2 * phi / (denom * denom)
 
 
-def vector_field(point: PhasePoint, params: LomseParams) -> tuple:
-    """The field X = (X1, X2); exactly antisymmetric under (phi,psi) -> -(phi,psi).
-    ``point`` may hold arrays (so may ``phi`` in f1, f2): each element then
-    gets exactly the value of the scalar call."""
-    phi, psi = point.phi, point.psi
+def vector_field(phi, psi, params: LomseParams) -> tuple:
+    """The field X = (X1, X2) at (phi, psi); exactly antisymmetric under
+    (phi,psi) -> -(phi,psi).  The system is autonomous, so there is no time
+    argument.  ``phi`` and ``psi`` may be arrays (so may ``phi`` in f1, f2):
+    each element then gets exactly the value of the scalar call."""
     lam2, n, p = params.lambda2_float, params.n, params.p
     # f1 and f2 inline around one denominator, in their own operation order
     d = 1.0 + lam2 * phi * phi
@@ -199,22 +199,22 @@ class Orbit:
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _STAGES = DOP853.n_stages
-_C, _C_EXTRA = DOP853.C.tolist(), DOP853.C_EXTRA.tolist()
 
 
-def _stage_plan(K, rows, cs, first):
-    """Per stage s from ``first`` on: the view K[:s]^T, the tableau row a[:s],
-    the node c and the row K[s] that the stage writes."""
-    return [(K[:s].T, a[:s], c, K[s]) for s, (a, c) in enumerate(zip(rows, cs), start=first)]
+def _stage_plan(K, rows, first):
+    """Per stage s from ``first`` on: the view K[:s]^T, the tableau row a[:s]
+    and the row K[s] that the stage writes."""
+    return [(K[:s].T, a[:s], K[s]) for s, a in enumerate(rows, start=first)]
 
 
-def _fill_stages(plan, t, y0, y1, h, params):
-    """K[s] = f(t + c h, y + h K[:s]^T a) along a stage plan.  The dot product
-    is scipy's own numpy call, so its rounding is too; the rest is the same
-    IEEE arithmetic on Python floats."""
-    for kt, a, c, row in plan:
+def _fill_stages(plan, y0, y1, h, params):
+    """K[s] = X(y + h K[:s]^T a) along a stage plan; the field is autonomous,
+    so the stage nodes c never enter.  The dot product is scipy's own numpy
+    call, so its rounding is too; the rest is the same IEEE arithmetic on
+    Python floats."""
+    for kt, a, row in plan:
         d0, d1 = np.dot(kt, a).tolist()
-        row[0], row[1] = vector_field(PhasePoint(y0 + d0 * h, y1 + d1 * h, t + c * h), params)
+        row[0], row[1] = vector_field(y0 + d0 * h, y1 + d1 * h, params)
 
 
 def _initial_step(t0, y, f, t_bound, direction, rtol, atol, params):
@@ -227,7 +227,7 @@ def _initial_step(t0, y, f, t_bound, direction, rtol, atol, params):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     y1 = (y + h0 * direction * f).tolist()
-    f1 = np.array(vector_field(PhasePoint(*y1, t0 + h0 * direction), params))
+    f1 = np.array(vector_field(*y1, params))
     d2 = np.linalg.norm((f1 - f) / scale) / 2 ** 0.5 / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -254,13 +254,13 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
     if atol < 0:
         raise ValueError("`atol` must be positive.")
     direction = 1.0 if t_bound > t0 else -1.0
-    K = np.empty((_STAGES + 1 + len(_C_EXTRA), 2))
-    stages = _stage_plan(K, DOP853.A[1:], _C[1:], 1)
-    extra = _stage_plan(K, DOP853.A_EXTRA, _C_EXTRA, _STAGES + 1)
+    K = np.empty((_STAGES + 1 + len(DOP853.A_EXTRA), 2))
+    stages = _stage_plan(K, DOP853.A[1:], 1)
+    extra = _stage_plan(K, DOP853.A_EXTRA, _STAGES + 1)
     E3, E5 = DOP853.E3, DOP853.E5
     kt_b, kt_e = K[:_STAGES].T, K[:_STAGES + 1].T
     y0, y1 = y
-    f = vector_field(PhasePoint(y0, y1, t0), params)
+    f = vector_field(y0, y1, params)
     h_abs = _initial_step(t0, y, f, t_bound, direction, rtol, atol, params)
     t = t0
     ts, ys, interpolants = [t0], [(y0, y1)], []
@@ -281,10 +281,10 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
-            _fill_stages(stages, t, y0, y1, h, params)
+            _fill_stages(stages, y0, y1, h, params)
             d0, d1 = np.dot(kt_b, DOP853.B).tolist()
             n0, n1 = y0 + h * d0, y1 + h * d1
-            f_new = vector_field(PhasePoint(n0, n1, t + h), params)
+            f_new = vector_field(n0, n1, params)
             K[_STAGES] = f_new
             scale = np.array((atol + max(abs(y0), abs(n0)) * rtol,
                               atol + max(abs(y1), abs(n1)) * rtol))
@@ -309,7 +309,7 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
         if direction * (t - t_bound) >= 0:
             status = 0
         # the dense output: 3 more stages and scipy's 7 x 2 coefficients F
-        _fill_stages(extra, t_old, o0, o1, h, params)
+        _fill_stages(extra, o0, o1, h, params)
         F = np.empty((7, 2))
         F[3:] = h * np.dot(DOP853.D, K)
         dy0, dy1 = y0 - o0, y1 - o1
@@ -356,9 +356,10 @@ def integrate_orbit(
     Uses the 8th-order adaptive Dormand-Prince scheme DOP853 with dense
     output (``_dop853``).  Events (psi = 0 crossings, phi = phi0 crossings)
     are located by root-finding on the interpolant.  Convergence is declared
-    when the state enters the ball of radius ``conv_radius`` around (phi0, 0),
-    the linearization there is contracting, and the distance was decreasing
-    over the last samples.
+    when the state enters the ball of radius ``conv_radius`` around (phi0, 0):
+    that equilibrium is a hyperbolic sink for every triple (tr B = -(n+1) < 0
+    and det B = 2n(K-n)/K > 0 since K = k(k+n-1) > n), so entering the ball
+    is the whole rule, for nodes and spirals alike.
     """
     tol = tolerances or Tolerances()
     if not (math.isfinite(seed.phi) and math.isfinite(seed.psi)
@@ -396,16 +397,7 @@ def integrate_orbit(
     events.sort(key=lambda e: e.t)
 
     if status == 1 and t_events[2]:
-        spec = spectra(params)
-        contracting = spec.mu3.real < 0 and spec.mu4.real < 0
-        tail = min(10, t.shape[0])
-        dist = np.hypot(y[0, -tail:] - phi0, y[1, -tail:])
-        decreasing = bool(np.all(np.diff(dist) < tol.conv_radius))
-        terminal = (
-            Terminal.CONVERGED_TO_P1
-            if (contracting and decreasing)
-            else Terminal.MAX_TIME_REACHED
-        )
+        terminal = Terminal.CONVERGED_TO_P1
     elif status == 1:
         terminal = Terminal.LEFT_DOMAIN
     else:
@@ -613,7 +605,7 @@ def _barrier_inequality_margin(
     for j in range(1, n_grid + 1):
         phi = phi0 * j / (n_grid + 1)
         h = curve(phi)
-        x1, x2 = vector_field(PhasePoint(phi, h), params)
+        x1, x2 = vector_field(phi, h, params)
         worst = min(worst, curve_prime(phi) - x2 / x1)
     return worst
 
@@ -625,7 +617,7 @@ def _bottom_edge_margin(params: LomseParams, n_grid: int) -> float:
     worst = math.inf
     for j in range(1, n_grid + 1):
         phi = phi0 * j / (n_grid + 1)
-        worst = min(worst, vector_field(PhasePoint(phi, 0.0), params)[1])
+        worst = min(worst, vector_field(phi, 0.0, params)[1])
     return worst
 
 
@@ -699,16 +691,16 @@ _SPIRAL_POINTS = tuple(Fraction(v) for v in ("0", "1/5", "1", "2", "10"))
 
 def _quarter_strip_max(params: LomseParams, m2: int) -> float:
     """Max of Y2 + X2 over an m2 x m2 grid of the quarter strip
-    phi_th <= phi <= 3 phi0, 0 < psi <= 3 phi0, with one array evaluation
-    of the field; negative means no limit cycle crosses the strip."""
+    phi_th <= phi <= 3 phi0, 0 < psi <= 3 phi0, with two array evaluations
+    of the field; negative means no limit cycle crosses the strip.  Y is X
+    reflected in the phi-axis, Y2(phi, psi) = -X2(phi, -psi); negation is
+    exact, so this is -psi - (f2 psi + f1 phi)(1 + (phi - psi)^2) to the bit."""
     n, p, phi0 = params.n, params.p, params.phi0
     phi_th = math.sqrt((3 * p - n - 1) / (3 * (n - p)))
     phi, psi = np.meshgrid(phi_th + (3.0 * phi0 - phi_th) * np.arange(m2) / (m2 - 1),
                            3.0 * phi0 * np.arange(1, m2 + 1) / m2, indexing="ij")
-    _, x2 = vector_field(PhasePoint(phi, psi), params)
-    y2 = -psi - (f2(phi, params) * psi + f1(phi, params) * phi) * (
-        1.0 + (phi - psi) ** 2)
-    return float(np.max(y2 + x2))
+    _, x2 = vector_field(phi, psi, params)
+    return float(np.max(x2 - vector_field(phi, -psi, params)[1]))
 
 
 def barrier_certificate_A4(

@@ -58,12 +58,8 @@ def classify_family(n: int, p: int) -> Family | None:
     return None
 
 
-def _stability_from_lists(n: int, p: int, k: int) -> Stability:
-    if (n, p) == (3, 2) and k >= 4:
-        return Stability.TYPE_II
-    if (n, p) == (5, 4) and k >= 6:
-        return Stability.TYPE_II
-    return Stability.TYPE_I
+def _discriminant(n: int, K: int) -> Fraction:
+    return Fraction(n * n - 6 * n + 1) + Fraction(8 * n * n, K)
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,7 @@ class LomseParams:
     @property
     def discriminant(self) -> Fraction:
         """Sign decides spiral (negative) vs node (nonnegative) at the cone slope."""
-        n = self.n
-        return Fraction(n * n - 6 * n + 1) + Fraction(8 * n * n, self.K)
+        return _discriminant(self.n, self.K)
 
     def __str__(self) -> str:
         return f"({self.n},{self.p},{self.k})-type [{self.stability.value}]"
@@ -130,13 +125,7 @@ def validate_params(n: int, p: int, k: int, relaxed: bool = False) -> LomseParam
     cos2_theta = Fraction((n - p) * K, n * (K - p))
     theta = math.acos(math.sqrt(float(cos2_theta)))
     phi0 = math.sqrt(float(phi0_sq))
-
-    disc = Fraction(n * n - 6 * n + 1) + Fraction(8 * n * n, K)
-    if relaxed:  # the lists cover admissible triples only, not e.g. odd k
-        stability = Stability.TYPE_II if disc < 0 else Stability.TYPE_I
-    else:
-        stability = _stability_from_lists(n, p, k)
-        assert (stability is Stability.TYPE_II) == (disc < 0)
+    stability = Stability.TYPE_II if _discriminant(n, K) < 0 else Stability.TYPE_I
 
     return LomseParams(
         n=n,

@@ -187,12 +187,8 @@ def test_criterion_10_jacobians():
         for point, want in (((0.0, 0.0), s.A), ((params.phi0, 0.0), s.B)):
             jac = np.empty((2, 2))
             for j, dv in enumerate(((h, 0.0), (0.0, h))):
-                plus = L.vector_field(
-                    L.PhasePoint(point[0] + dv[0], point[1] + dv[1]), params
-                )
-                minus = L.vector_field(
-                    L.PhasePoint(point[0] - dv[0], point[1] - dv[1]), params
-                )
+                plus = L.vector_field(point[0] + dv[0], point[1] + dv[1], params)
+                minus = L.vector_field(point[0] - dv[0], point[1] - dv[1], params)
                 jac[:, j] = (np.array(plus) - np.array(minus)) / (2 * h)
             ok &= bool(np.max(np.abs(jac - want)) < 1e-6)
     _report(10, "finite-difference Jacobians match A and B over the sweep", ok)

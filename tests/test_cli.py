@@ -242,6 +242,39 @@ def test_sweep_list_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_row_without_a_certificate_case_fails_alone(fmt, tmp_path, capsys):
+    # (3,1,3) is a relaxed spiral with 3p < n + 1: its certificate raises
+    # WrongCase, which fails that row and leaves the others
+    listing = tmp_path / "triples.txt"
+    listing.write_text("3 2 2\n3 1 3\n3 2 4\n")
+    code = main(["sweep", "--relaxed", "--list", str(listing), "--format", fmt,
+                 "--out", str(tmp_path), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "(3,1,3): WrongCase: " in captured.err and "3p >= n + 1" in captured.err
+    if fmt == "json":
+        rows = [(r["n"], r["p"], r["k"], r["verdict"]) for r in json.loads(captured.out)["rows"]]
+    else:
+        with (tmp_path / "sweep.csv").open() as fh:
+            rows = [(int(r["n"]), int(r["p"]), int(r["k"]), r["verdict"])
+                    for r in csv.DictReader(fh)]
+    assert rows == [(3, 2, 2, "certified"), (3, 1, 3, "failed"), (3, 2, 4, "certified")]
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 5), (3, 1, 5), (4, 1, 4), (4, 2, 4)])
+@pytest.mark.parametrize("command", [["profile"], ["dirichlet", "--phi-boundary", "at-phi0"]],
+                         ids=["profile", "dirichlet"])
+def test_relaxed_spirals_converge_on_the_command_line(command, triple, tmp_path, capsys):
+    n, p, k = (str(v) for v in triple)
+    code = main([*command, "--n", n, "--p", p, "--k", k, "--relaxed", "--no-timestamp",
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == ""
+    json.loads(captured.out)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_sweep_list_without_triples_is_refused(fmt, tmp_path, capsys):
     listing = tmp_path / "triples.txt"
     listing.write_text("# nothing\n\n   \n")

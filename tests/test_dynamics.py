@@ -24,10 +24,10 @@ def test_f1_f2_examples(p322):
 
 
 def test_vector_field_examples(p322):
-    assert L.vector_field(L.PhasePoint(0.0, 0.0), p322) == (0.0, 0.0)
-    x1, x2 = L.vector_field(L.PhasePoint(p322.phi0, 0.0), p322)
+    assert L.vector_field(0.0, 0.0, p322) == (0.0, 0.0)
+    x1, x2 = L.vector_field(p322.phi0, 0.0, p322)
     assert x1 == 0.0 and abs(x2) < 1e-14
-    assert L.vector_field(L.PhasePoint(0.5, 0.0), p322) == (0.0, 1.25)
+    assert L.vector_field(0.5, 0.0, p322) == (0.0, 1.25)
 
 
 @pytest.mark.parametrize("triple", SWEEP)
@@ -38,19 +38,19 @@ def test_vector_field_is_f1_f2_bit_for_bit(triple):
     rng = np.random.default_rng(sum(triple))
     phi, psi = rng.uniform(-3.0, 3.0, (2, 400))
     s = phi + psi
-    x1, x2 = L.vector_field(L.PhasePoint(phi, psi), p)
+    x1, x2 = L.vector_field(phi, psi, p)
     assert np.array_equal(x1, psi)
     assert np.array_equal(x2, -psi - (L.f2(phi, p) * psi - L.f1(phi, p) * phi) * (1.0 + s * s))
     for a, b in zip(phi[:50].tolist(), psi[:50].tolist()):
-        assert L.vector_field(L.PhasePoint(a, b), p) == (
+        assert L.vector_field(a, b, p) == (
             b, -b - (L.f2(a, p) * b - L.f1(a, p) * a) * (1.0 + (a + b) * (a + b)))
 
 
 @given(phi=FINITE, psi=FINITE)
 def test_antisymmetry_exact(phi, psi):
     p = L.validate_params(3, 2, 4)
-    x1, x2 = L.vector_field(L.PhasePoint(phi, psi), p)
-    y1, y2 = L.vector_field(L.PhasePoint(-phi, -psi), p)
+    x1, x2 = L.vector_field(phi, psi, p)
+    y1, y2 = L.vector_field(-phi, -psi, p)
     assert y1 == -x1 and y2 == -x2
 
 
@@ -61,7 +61,7 @@ def test_equilibria_isolated(p324):
         for psi in np.linspace(-1.5, 1.5, 41):
             if min(math.hypot(phi - a, psi - b) for a, b in eq) < 0.05:
                 continue
-            x1, x2 = L.vector_field(L.PhasePoint(float(phi), float(psi)), p324)
+            x1, x2 = L.vector_field(float(phi), float(psi), p324)
             assert math.hypot(x1, x2) > 1e-4
 
 
@@ -75,12 +75,8 @@ def test_f2_positive_everywhere():
 def _fd_jacobian(point, params, h=1e-6):
     jac = np.empty((2, 2))
     for j, dv in enumerate(((h, 0.0), (0.0, h))):
-        plus = L.vector_field(
-            L.PhasePoint(point[0] + dv[0], point[1] + dv[1]), params
-        )
-        minus = L.vector_field(
-            L.PhasePoint(point[0] - dv[0], point[1] - dv[1]), params
-        )
+        plus = L.vector_field(point[0] + dv[0], point[1] + dv[1], params)
+        minus = L.vector_field(point[0] - dv[0], point[1] - dv[1], params)
         jac[:, j] = (np.array(plus) - np.array(minus)) / (2 * h)
     return jac
 
@@ -197,6 +193,27 @@ def test_translation_invariance(p322):
         assert abs(pa.psi - pb.psi) < 1e-9
 
 
+@pytest.mark.parametrize("npk, relaxed, tol", [
+    *(pytest.param(npk, True, Tolerances(), id=f"relaxed-{npk}")
+      for npk in ((3, 2, 5), (3, 1, 5), (4, 1, 4), (4, 2, 4))),
+    pytest.param((3, 2, 6), False, Tolerances(abs_tol=1e-13, rel_tol=1e-13, conv_radius=1e-12),
+                 id="(3, 2, 6)-tight-ball-1e-12"),
+    pytest.param((5, 4, 6), False, Tolerances(abs_tol=1e-6, rel_tol=1e-6),
+                 id="(5, 4, 6)-rtol-1e-6"),
+])
+def test_spiral_entering_the_ball_converges(npk, relaxed, tol):
+    # the Euclidean distance to (phi0, 0) is not monotone along a spiral, so
+    # entering the ball is the whole rule: (phi0, 0) is a sink for every triple
+    p = L.validate_params(*npk, relaxed=relaxed)
+    assert p.stability is L.Stability.TYPE_II
+    orbit = L.integrate_orbit(p, L.seed_unstable(p), tolerances=tol)
+    assert orbit.terminal is Terminal.CONVERGED_TO_P1
+    assert orbit.t[-1] < 200.0
+    end = orbit.point_at(orbit.t[-1])
+    assert math.hypot(end.phi - p.phi0, end.psi) == pytest.approx(tol.conv_radius, rel=1e-6)
+    assert L.extract_profile(orbit, p).r_max == pytest.approx(math.exp(orbit.t[-1]))
+
+
 def test_integrator_tolerance_consistency(p322):
     seed = L.seed_unstable(p322, 1e-8)
     loose = L.integrate_orbit(p322, seed, tolerances=Tolerances())
@@ -277,7 +294,7 @@ def _solve_ivp_orbit(params, seed, t_max=200.0, tol=Tolerances()):
 
     def rhs(t, y):
         phi, psi = y.tolist()
-        return dynamics.vector_field(L.PhasePoint(phi, psi, t), params)
+        return dynamics.vector_field(phi, psi, params)
 
     def ev_converged(t, y):
         return math.hypot(y[0] - phi0, y[1]) - tol.conv_radius
@@ -304,12 +321,7 @@ def _solve_ivp_orbit(params, seed, t_max=200.0, tol=Tolerances()):
             events.append(Event(kind, float(te), point))
     events.sort(key=lambda e: e.t)
     if sol.status == 1 and len(sol.t_events[2]) > 0:
-        spec = L.spectra(params)
-        tail = min(10, sol.t.shape[0])
-        dist = np.hypot(sol.y[0, -tail:] - phi0, sol.y[1, -tail:])
-        converged = (spec.mu3.real < 0 and spec.mu4.real < 0
-                     and np.all(np.diff(dist) < tol.conv_radius))
-        terminal = Terminal.CONVERGED_TO_P1 if converged else Terminal.MAX_TIME_REACHED
+        terminal = Terminal.CONVERGED_TO_P1  # (phi0, 0) is a sink: entering the ball converges
     elif sol.status == 1:
         terminal = Terminal.LEFT_DOMAIN
     else:
@@ -351,9 +363,9 @@ def test_dop853_matches_solve_ivp(npk, seed, t_max, tol, monkeypatch):
     calls = []
     field = dynamics.vector_field
 
-    def counted(point, params):
+    def counted(phi, psi, params):
         calls.append(None)
-        return field(point, params)
+        return field(phi, psi, params)
 
     monkeypatch.setattr(dynamics, "vector_field", counted)
     orbit = L.integrate_orbit(p, seed, t_max, tol)
@@ -376,9 +388,9 @@ def test_dop853_matches_solve_ivp_at_the_rtol_floor():
 def test_dop853_fails_as_solve_ivp_on_a_nan_field(monkeypatch):
     field = dynamics.vector_field
 
-    def poisoned(point, params):
-        x1, x2 = field(point, params)
-        return (x1, math.nan) if point.phi > 0.5 else (x1, x2)
+    def poisoned(phi, psi, params):
+        x1, x2 = field(phi, psi, params)
+        return (x1, math.nan) if phi > 0.5 else (x1, x2)
 
     monkeypatch.setattr(dynamics, "vector_field", poisoned)
     seed = L.seed_unstable(_P322)
@@ -406,7 +418,7 @@ def _dop853_and_reference(params, y0, t_max, tol, event_fns):
             return g(*y)
         ev.direction, ev.terminal = direction, terminal
         wrapped.append(ev)
-    ref = solve_ivp(lambda t, y: dynamics.vector_field(L.PhasePoint(*y.tolist(), t), params),
+    ref = solve_ivp(lambda t, y: dynamics.vector_field(*y.tolist(), params),
                     (0.0, t_max), list(y0), method="DOP853", dense_output=True,
                     rtol=tol.rel_tol, atol=tol.abs_tol, events=wrapped)
     t, y, interpolant, t_events, status, _ = got

@@ -168,11 +168,37 @@ def test_spectral_matrices(np_pair, k):
     assert math.isclose((s.mu3 * s.mu4).real, float(-s.a), rel_tol=1e-12)
 
 
-@given(np_pair=ADMISSIBLE_NP, k=EVEN_K)
-def test_stability_matches_discriminant(np_pair, k):
-    n, p = np_pair
-    params = L.validate_params(n, p, k)
-    assert (params.stability is L.Stability.TYPE_II) == (params.discriminant < 0)
+def _paper_stability(n: int, p: int, k: int) -> L.Stability:
+    """The paper's lists: (3,2,k) spirals for k >= 4 and (5,4,k) for k >= 6;
+    every other admissible triple is a node."""
+    if ((n, p) == (3, 2) and k >= 4) or ((n, p) == (5, 4) and k >= 6):
+        return L.Stability.TYPE_II
+    return L.Stability.TYPE_I
+
+
+def test_stability_matches_discriminant():
+    # validate_params reads stability off the discriminant's sign; over the
+    # admissible triples that must reproduce the paper's lists
+    pairs = [*((2 * l + 1, 2 * l) for l in range(1, 21)),
+             *((4 * l + 3, 4 * l) for l in range(1, 11)), (15, 8)]
+    for n, p in pairs:
+        for k in range(2, 51, 2):
+            params = L.validate_params(n, p, k)
+            assert params.stability is _paper_stability(n, p, k), (n, p, k)
+            assert (params.stability is L.Stability.TYPE_II) == (params.discriminant < 0)
+
+
+def test_cone_slope_is_a_sink_for_every_relaxed_triple():
+    # tr B < 0 and det B > 0 exactly: (phi0, 0) is a hyperbolic sink for every
+    # triple, nodes and spirals alike, so an orbit entering a small ball around
+    # it converges
+    for n in range(2, 12):
+        for p in range(1, n):
+            for k in range(2, 9):
+                params = L.validate_params(n, p, k, relaxed=True)
+                s = L.spectra(params)
+                assert s.b == -(n + 1) < 0
+                assert -s.a == Fraction(2 * n * (params.K - n), params.K) > 0
 
 
 def test_sweep_list_valid():

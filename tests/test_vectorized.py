@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 import loclab as L
+from loclab import dynamics
 from loclab.dirichlet import _find_crossings
 from loclab.dynamics import _quarter_strip_max
 from loclab.hopf import _random_unit_vectors
@@ -21,8 +22,8 @@ from conftest import BACKWARD, SWEEP, TIGHT
 def test_vector_field_arrays_equal_scalar_calls(triple):
     p = L.validate_params(*triple)
     phi, psi = np.meshgrid(np.linspace(-3.0, 3.0, 41), np.linspace(-4.0, 4.0, 37))
-    x1, x2 = L.vector_field(L.PhasePoint(phi, psi), p)
-    ref = np.array([L.vector_field(L.PhasePoint(float(a), float(b)), p)
+    x1, x2 = L.vector_field(phi, psi, p)
+    ref = np.array([L.vector_field(float(a), float(b), p)
                     for a, b in zip(phi.ravel(), psi.ravel())])
     assert np.array_equal(x1.ravel(), ref[:, 0])
     assert np.array_equal(x2.ravel(), ref[:, 1])
@@ -124,6 +125,11 @@ def test_batched_singular_values_match_per_sample():
         L.singular_value_sample(np.vstack([xs[:3], [[0.5, 0.0, 0.0, 0.0]]]))
 
 
+def _hand_written_y2(phi, psi, p):
+    """The reflected field written out: Y2 = -psi - (f2 psi + f1 phi)(1 + (phi - psi)^2)."""
+    return -psi - (L.f2(phi, p) * psi + L.f1(phi, p) * phi) * (1.0 + (phi - psi) ** 2)
+
+
 @pytest.mark.parametrize("triple", [(3, 2, 4), (3, 2, 6), (5, 4, 6)])
 def test_quarter_strip_matches_scalar_loop(triple):
     p = L.validate_params(*triple)
@@ -135,11 +141,40 @@ def test_quarter_strip_matches_scalar_loop(triple):
         phi = phi_th + (3.0 * phi0 - phi_th) * i / (m2 - 1)
         for j in range(1, m2 + 1):
             psi = 3.0 * phi0 * j / m2
-            _, x2 = L.vector_field(L.PhasePoint(phi, psi), p)
-            y2 = -psi - (L.f2(phi, p) * psi + L.f1(phi, p) * phi) * (
-                1.0 + (phi - psi) ** 2)
-            worst = max(worst, y2 + x2)
+            _, x2 = L.vector_field(phi, psi, p)
+            worst = max(worst, _hand_written_y2(phi, psi, p) + x2)
     assert _quarter_strip_max(p, m2) == worst < 0.0
+
+
+_STRIP_CASES = [
+    *(pytest.param(t, False, id=f"{t}") for t in ((3, 2, 4), (3, 2, 6), (5, 4, 6))),
+    *(pytest.param((n, p, k), True, id=f"relaxed-{(n, p, k)}")
+      for n in range(2, 12) for p in range(1, n) for k in range(2, 9)
+      if 3 * p >= n + 1 and L.validate_params(n, p, k, relaxed=True).discriminant < 0),
+]
+
+
+@pytest.mark.parametrize("triple, relaxed", _STRIP_CASES)
+def test_quarter_strip_grid_is_the_hand_written_y2(triple, relaxed, monkeypatch):
+    # _quarter_strip_max reads Y2(phi, psi) as -X2(phi, -psi); on the grid
+    # barrier_certificate_A4 samples, every value of Y2 + X2 must be the
+    # written-out expression to the bit
+    p = L.validate_params(*triple, relaxed=relaxed)
+    calls = []
+    field = dynamics.vector_field
+
+    def recorded(phi, psi, params):
+        out = field(phi, psi, params)
+        calls.append((phi, psi, out[1]))
+        return out
+
+    monkeypatch.setattr(dynamics, "vector_field", recorded)
+    got = _quarter_strip_max(p, max(100, math.isqrt(2048 * 5)))
+    (phi, psi, x2), (phi_r, psi_r, x2_r) = calls
+    assert np.array_equal(phi_r, phi) and np.array_equal(psi_r, -psi)
+    ref = _hand_written_y2(phi, psi, p) + x2
+    assert np.array_equal(x2 - x2_r, ref)
+    assert got == float(np.max(ref))
 
 
 def test_profile_values_match_scalar_accessors(profile_324):
