@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Profile, ode1_residual, radial_residual
-from .errors import NotOnSphere
+from .errors import NotOnSphere, WrongCase
 from .params import LomseParams, validate_params
 
 SPHERE_TOL = 1e-9
@@ -83,34 +83,57 @@ def singular_value_sample(x) -> SphereSample:
     return SphereSample(x=x, fx=hopf_map(x), jacobian=jac, singular_values=sv)
 
 
-def _los_residual(sv: np.ndarray, theta: float):
-    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+def _los_residual(sv: np.ndarray, theta):
+    """sum_j 1/(cos^2 t + sin^2 t l_j^2) - 3 for singular values ``sv`` of
+    shape (..., 3) and angles ``theta`` broadcasting against ``sv[..., 0]``."""
+    theta = np.asarray(theta, dtype=float)[..., None]
+    c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
     return np.sum(1.0 / (c2 + s2 * sv**2), axis=-1) - 3.0
 
 
-def los_condition_b(x, theta: float) -> float:
-    """Residual of the LOS angle condition sum_j 1/(cos^2 t + sin^2 t l_j^2) = n."""
+def _float_or_array(a: np.ndarray):
+    """A float for one point, the array for a stack."""
+    return float(a) if a.ndim == 0 else a
+
+
+def los_condition_b(x, theta: float):
+    """Residual of the LOS angle condition sum_j 1/(cos^2 t + sin^2 t l_j^2) = n;
+    a float for one point, an array with one entry per row of a stack (N, 4)."""
     if not 0.0 < theta < math.pi / 2:
         raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
-    return float(_los_residual(singular_value_sample(x).singular_values, theta))
+    return _float_or_array(_los_residual(singular_value_sample(x).singular_values, theta))
 
 
-def los_angle_root(x, tol: float = 1e-10) -> float:
+def los_angle_root(x, tol: float = 1e-10):
     """Unique root of the LOS condition in (0, pi/2), by bisection on the
-    singular values computed once."""
+    singular values computed once.
+
+    ``x`` may be a stack of points (N, 4): one batched SVD, then every
+    bisection moves forward together and a row stops, on a mask, at exactly
+    the step where its own one-point loop would stop, so each root is the
+    same float.  A row also stops when its midpoint rounds onto an end of
+    the bracket, so the loop ends even for a ``tol`` below the spacing of
+    the doubles near the root.  One point gives a float, a stack an array
+    of N roots.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     sv = singular_value_sample(x).singular_values
     # at theta -> 0+ the residual vanishes quadratically and underflows;
     # start the bracket where the sign is still representable
-    lo, hi = 1e-3, math.pi / 2 - 1e-6
-    flo = _los_residual(sv, lo)
-    while hi - lo > tol:
+    lo = np.full(sv.shape[:-1], 1e-3)
+    hi = np.full(sv.shape[:-1], math.pi / 2 - 1e-6)
+    # lo only moves to a midpoint of its own sign, so that sign is fixed
+    lo_positive = _los_residual(sv, lo) > 0
+    mid = 0.5 * (lo + hi)
+    active = (hi - lo > tol) & (lo < mid) & (mid < hi)
+    while active.any():
+        same = (_los_residual(sv, mid) > 0) == lo_positive
+        lo = np.where(active & same, mid, lo)
+        hi = np.where(active & ~same, mid, hi)
         mid = 0.5 * (lo + hi)
-        fm = _los_residual(sv, mid)
-        if (flo > 0) == (fm > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        active &= (hi - lo > tol) & (lo < mid) & (mid < hi)
+    return _float_or_array(mid)
 
 
 def _general_residuals(profile: Profile, x, n_radii: int):
@@ -184,7 +207,15 @@ def hopf_verify_report(
 ) -> dict:
     """Full verification report: per-check name, max deviation, tolerance,
     pass flag.  The profile-dependent equation checks are skipped when no
-    profile is supplied."""
+    profile is supplied.  The Hopf map is of (3,2,2)-type, so a profile or
+    params of another triple raise ``WrongCase``: its singular values (2,2,0)
+    are not that triple's, and the comparison would prove nothing."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    for name, p in (("params", params), ("profile.params", getattr(profile, "params", None))):
+        if p is not None and (p.n, p.p, p.k) != (3, 2, 2):
+            raise WrongCase(f"the Hopf map is of (3,2,2)-type; {name} are "
+                            f"({p.n},{p.p},{p.k})")
     checks = []
 
     def add(name: str, deviation: float, tol: float):
@@ -200,7 +231,7 @@ def hopf_verify_report(
     theta_star = math.acos(2.0 / 3.0)
     cond_dev = np.max(np.abs(_los_residual(s.singular_values[:100], theta_star)))
     add("LOS condition at arccos(2/3)", cond_dev, 1e-9)
-    root_dev = max(abs(los_angle_root(x) - theta_star) for x in xs[:10])
+    root_dev = np.max(np.abs(los_angle_root(xs[:10]) - theta_star))
     add("unique LOS angle root by bisection", root_dev, 1e-9)
 
     hd = harmonic_degree_check()

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -92,6 +94,109 @@ def test_los_root_unique():
     assert L.los_condition_b(x, theta_star + 0.2) > 0
 
 
+def test_los_condition_of_a_stack_is_the_per_point_calls():
+    xs = _random_unit_vectors(50, seed=41)
+    for theta in (1e-8, math.pi / 4, math.acos(2 / 3), 1.5):
+        stack = L.los_condition_b(xs, theta)
+        assert isinstance(stack, np.ndarray) and stack.shape == (50,)
+        points = [L.los_condition_b(x, theta) for x in xs]
+        assert all(isinstance(b, float) for b in points)
+        assert stack.tolist() == points
+
+
+def _one_point_root(sv, tol):
+    """The one-point bisection on Python floats, the reference for the batch."""
+    def residual(theta):
+        c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+        return sum(1.0 / (c2 + s2 * lam**2) for lam in sv) - 3.0
+
+    lo, hi = 1e-3, math.pi / 2 - 1e-6
+    flo = residual(lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        fm = residual(mid)
+        if (flo > 0) == (fm > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_los_angle_root_of_a_stack_is_the_per_point_roots():
+    for seed in range(20):
+        xs = _random_unit_vectors(10, seed)
+        roots = L.los_angle_root(xs)
+        assert isinstance(roots, np.ndarray) and roots.shape == (10,)
+        points = [L.los_angle_root(x) for x in xs]
+        assert all(isinstance(r, float) for r in points)
+        assert roots.tolist() == points
+        sv = L.singular_value_sample(xs).singular_values
+        assert points == [_one_point_root(row.tolist(), 1e-10) for row in sv]
+
+
+# three rows with Sum l^2 > 3 and Sum 1/l^2 > 3, whose roots lie apart
+# (1.007, 0.723 and 0.841); the Hopf map's own rows all have the same root
+_DIVERGING_SV = [[2.0, 1.5, 0.5], [3.0, 1.0, 0.0], [2.0, 2.0, 0.0]]
+
+
+def test_los_angle_root_rows_that_diverge(monkeypatch):
+    # near the spacing of the doubles the brackets round to different widths,
+    # so at a tolerance of a few ulps the rows stop after different numbers
+    # of steps: each must stop on its own
+    sv = np.array(_DIVERGING_SV)
+    monkeypatch.setattr(hopf, "singular_value_sample",
+                        lambda x: SimpleNamespace(singular_values=sv))
+    xs = _random_unit_vectors(3, seed=43)
+    for tol in (1e-4, 1e-10, 1.4e-15, 7e-16, 4e-16):
+        roots = L.los_angle_root(xs, tol=tol)
+        assert roots.tolist() == [_one_point_root(row, tol) for row in _DIVERGING_SV]
+
+
+_HANG_PROBE = """
+import json, math, sys
+from types import SimpleNamespace
+import numpy as np
+import loclab as L
+from loclab import hopf
+from loclab.hopf import _random_unit_vectors
+
+xs = _random_unit_vectors(10, seed=47)
+refused = []
+for tol in (0.0, -1e-10, math.nan, math.inf):
+    try:
+        L.los_angle_root(xs[0], tol=tol)
+    except ValueError:
+        refused.append(True)
+    else:
+        refused.append(False)
+roots = [L.los_angle_root(xs[0], tol=tol) for tol in (1e-16, 5e-324)]
+roots += L.los_angle_root(xs, tol=1e-16).tolist()
+sv = np.array(json.loads(sys.argv[1]))
+hopf.singular_value_sample = lambda x: SimpleNamespace(singular_values=sv)
+diverging = [L.los_angle_root(xs[:3], tol=tol).tolist() for tol in json.loads(sys.argv[2])]
+print(json.dumps({"refused": refused, "roots": roots, "diverging": diverging}))
+"""
+
+
+def test_los_angle_root_ends_below_the_spacing_of_doubles():
+    # once lo and hi are adjacent doubles the midpoint rounds onto one of
+    # them; a regression here loops for ever, so it runs in a child with a
+    # timeout
+    tols = [1.5e-16, 1e-16, 5e-324]
+    env = {**os.environ, "PYTHONPATH": str(Path(L.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", _HANG_PROBE, json.dumps(_DIVERGING_SV), json.dumps(tols)],
+        env=env, check=True, capture_output=True, text=True, timeout=60)
+    rep = json.loads(out.stdout)
+    assert rep["refused"] == [True, True, True, True]
+    assert len(rep["roots"]) == 12
+    assert all(abs(r - math.acos(2 / 3)) < 1e-9 for r in rep["roots"])
+    assert rep["diverging"] == [[_one_point_root(row, tol) for row in _DIVERGING_SV]
+                                for tol in tols]
+
+
 def test_harmonic_degree():
     rep = L.harmonic_degree_check()
     assert rep["laplacians_zero"]
@@ -155,3 +260,18 @@ def test_full_report(profile_322, p322):
     names = {c["name"] for c in rep["checks"]}
     assert "singular values (2,2,0)" in names
     assert "general vs reduced equation on profile" in names
+
+
+def test_report_refuses_a_bad_sample_count():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_samples"):
+            L.hopf_verify_report(n_samples=n)
+
+
+def test_report_refuses_a_triple_other_than_322(profile_322, p322):
+    p542 = L.validate_params(5, 4, 2)
+    profile_542 = L.extract_profile(L.integrate_orbit(p542, L.seed_unstable(p542)), p542)
+    for profile, params in ((profile_542, p542), (profile_322, p542),
+                            (profile_542, p322), (None, p542), (profile_542, None)):
+        with pytest.raises(L.WrongCase, match=r"\(5,4,2\)"):
+            L.hopf_verify_report(profile, params, n_samples=50)
