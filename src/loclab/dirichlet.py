@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import geometry
-from .dynamics import EventKind, Orbit, Profile, Terminal
+from .dynamics import EventKind, Orbit, Profile, Terminal, _check_params
 from .errors import NotConverged, WrongType
 from .params import LomseParams, Stability
 
@@ -83,7 +83,7 @@ def _find_crossings(orbit: Orbit, level: float, refine: int = 8) -> list[float]:
     fa, fb = vals[:, :-1], vals[:, 1:]
     roots = [float(a) for a in grid[:, :-1][fa == 0.0]]
     for i, j in zip(*np.nonzero(fa * fb < 0.0)):
-        roots.append(float(brentq(lambda t: orbit.point_at(t).phi - level, grid[i, j],
+        roots.append(float(brentq(lambda t: orbit.interpolant(t)[0] - level, grid[i, j],
                                   grid[i, j + 1], xtol=1e-13, rtol=1e-15)))
     if keep[-1] and vals[-1, -1] == 0.0:
         roots.append(float(ts[-1]))
@@ -94,27 +94,26 @@ def _find_crossings(orbit: Orbit, level: float, refine: int = 8) -> list[float]:
     return merged
 
 
-def _phi_extrema(orbit: Orbit, params: LomseParams) -> tuple[float, float | None]:
+def _phi_extrema(orbit: Orbit) -> tuple[float, float | None]:
     """phi1 = max phi over the orbit; phi2 = min phi after the first psi-zero
-    event (TypeII only, None otherwise)."""
+    event (TypeII only, None otherwise).  Some node is at or after that event:
+    a forward run's last node, a backward run's seed node."""
     psi_events = orbit.events_of(EventKind.PSI_ZERO)
     phi1 = float(np.max(orbit.phi))
     if psi_events:
         phi1 = max(phi1, max(e.point.phi for e in psi_events))
-    if params.stability is Stability.TYPE_I or not psi_events:
+    if orbit.params.stability is Stability.TYPE_I or not psi_events:
         return phi1, None
-    t1 = psi_events[0].t
-    after = orbit.phi[orbit.t >= t1]
-    phi2 = float(np.min(after)) if after.size else psi_events[0].point.phi
+    phi2 = float(np.min(orbit.phi[orbit.t >= psi_events[0].t]))
     phi2 = min(phi2, min(e.point.phi for e in psi_events))
     return phi1, phi2
 
 
-def _decay_rate(orbit: Orbit, params: LomseParams) -> float | None:
+def _decay_rate(orbit: Orbit) -> float | None:
     """Geometric decay rate of |phi(T_i) - phi0| fitted over the resolvable
     psi-zero events; None when fewer than two are resolvable."""
     amps = [
-        abs(e.point.phi - params.phi0)
+        abs(e.point.phi - orbit.params.phi0)
         for e in orbit.events_of(EventKind.PSI_ZERO)
     ]
     amps = [a for a in amps if a > 0.0]
@@ -136,7 +135,9 @@ def dirichlet_multiplicity(
     in which case only the resolvable prefix of d_i is listed together with
     the fitted geometric decay rate.  The Lipschitz cone solution existing
     exactly at phi0 is flagged separately; it is not an orbit crossing.
+    ``params`` must be the orbit's own triple (``ValueError`` otherwise).
     """
+    _check_params(orbit, params)
     if not math.isfinite(phi_boundary):
         raise ValueError(f"phi_boundary must be finite, got {phi_boundary}")
     if phi_boundary < 0:
@@ -145,7 +146,7 @@ def dirichlet_multiplicity(
         raise NotConverged(f"orbit terminal is {orbit.terminal.value}")
 
     phi0 = params.phi0
-    phi1, phi2 = _phi_extrema(orbit, params)
+    phi1, phi2 = _phi_extrema(orbit)
     is_type2 = params.stability is Stability.TYPE_II
     at_phi0 = abs(phi_boundary - phi0) < PHI0_MATCH_TOL
     eps_window = (phi1 - phi0) if is_type2 else None
@@ -155,7 +156,7 @@ def dirichlet_multiplicity(
         if not crossings:
             crossings = _find_crossings(orbit, phi0)
         mult = Multiplicity(MultiplicityKind.UNBOUNDED_SEQUENCE)
-        rate = _decay_rate(orbit, params)
+        rate = _decay_rate(orbit)
     elif phi_boundary > phi1:
         crossings = []
         mult = Multiplicity(MultiplicityKind.ZERO)
@@ -178,14 +179,15 @@ def dirichlet_multiplicity(
     )
 
 
-def epsilon_window(orbit: Orbit, params: LomseParams) -> float:
+def epsilon_window(orbit: Orbit) -> float:
     """Width phi1 - phi0 of the amplitude window above the cone slope for
     which the spiral guarantees solvability."""
+    params = orbit.params
     if params.stability is not Stability.TYPE_II:
         raise WrongType(f"{params} is TypeI; the window is a spiral feature")
     if orbit.terminal is not Terminal.CONVERGED_TO_P1:
         raise NotConverged(f"orbit terminal is {orbit.terminal.value}")
-    phi1, _ = _phi_extrema(orbit, params)
+    phi1, _ = _phi_extrema(orbit)
     return phi1 - params.phi0
 
 
@@ -196,11 +198,15 @@ def nonminimizing_verdict(
 
     The rescaling radii are the d_i = e^{t_i} at the phi0 crossings; the
     density at the first of them sits strictly below the cone density.
+    ``ValueError`` unless ``profile`` is from ``orbit`` and ``params`` its triple.
     """
+    if orbit is not profile.orbit:
+        raise ValueError("the profile was not extracted from this orbit")
+    _check_params(orbit, params)
     if params.stability is not Stability.TYPE_II:
         raise WrongType(f"{params} is TypeI; no density gap is expected")
     report = dirichlet_multiplicity(orbit, params, params.phi0)
     radii = [d for d in report.d_values if d <= profile.r_max]
     if not radii:
         raise NotConverged("no phi0 crossings within the profile range")
-    return geometry.density_report(profile, params, radii, rel_tol=rel_tol)
+    return geometry.density_report(profile, radii, rel_tol=rel_tol)

@@ -131,10 +131,6 @@ class Orbit:
     tolerances: Tolerances
     interpolant: object = field(repr=False)
 
-    def point_at(self, t: float) -> PhasePoint:
-        y = self.interpolant(t)
-        return PhasePoint(phi=float(y[0]), psi=float(y[1]), t=float(t))
-
     @cached_property
     def _dense_table(self) -> tuple[np.ndarray, ...]:
         """The DOP853 dense output stacked once: segment edges ``ts`` and,
@@ -143,13 +139,15 @@ class Orbit:
         return (self.interpolant.ts, *(np.array([getattr(s, name) for s in steps])
                                        for name in ("t_old", "h", "y_old", "F")))
 
-    def _read(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """(phi, psi) and their t-derivatives at an array of times, each of
-        shape (2,) + t.shape, in one pass over the stacked table.  The segment
-        rule is ``OdeSolution``'s for either direction of integration, and the
-        values come from scipy's alternating x / (1 - x) Horner loop in its
-        own order, so they equal ``interpolant(t)`` bit for bit; the product
-        rule carries d/dx through the same loop."""
+    def read(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(phi, psi) and their t-derivatives at a time or an array of times,
+        each of shape (2,) + t.shape, in one pass over the stacked table.  The
+        segment rule is ``OdeSolution``'s for either direction of integration,
+        and the values come from scipy's alternating x / (1 - x) Horner loop
+        in its own order, so they equal ``interpolant(t)`` bit for bit; the
+        product rule carries d/dx through the same loop (the step polynomial's
+        derivative, not the field at the read state, which would make a
+        residual vacuous)."""
         ts, t_old, h, y_old, F = self._dense_table
         t = np.asarray(t, dtype=float)
         way = 1.0 if ts[-1] >= ts[0] else -1.0
@@ -177,18 +175,6 @@ class Orbit:
         phi_old, reach = y_old[:, 0], np.abs(F[:, :, 0]).sum(axis=1)
         return np.abs(phi_old - level) <= reach + _REACH_MARGIN * (
             np.abs(phi_old) + reach + abs(level))
-
-    def states_at(self, t) -> np.ndarray:
-        """(phi, psi) at an array of times, shape (2,) + t.shape: equal to
-        ``interpolant(t)`` element for element."""
-        return self._read(t)[0]
-
-    def psi_t_at(self, t):
-        """d(psi)/dt by exact differentiation of the dense-output step
-        polynomial (not by substituting the vector field, which would make
-        downstream residual checks vacuous); a float for a scalar ``t``."""
-        psi_t = self._read(t)[1][1]
-        return float(psi_t) if np.ndim(t) == 0 else psi_t
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
@@ -469,39 +455,40 @@ class Profile:
     orbit: Orbit = field(repr=False)
     _c_ext: float = field(repr=False, default=0.0)
 
-    def rho_at(self, r: float) -> float:
-        return float(self.values_at([r])[0][0])
-
-    def rho_r_at(self, r: float) -> float:
-        return float(self.values_at([r])[1][0])
-
-    def rho_rr_at(self, r: float) -> float:
-        return float(self.values_at([r])[2][0])
-
     def values_at(self, r) -> tuple[np.ndarray, ...]:
         """(rho, rho_r, rho_rr) at a 1-D array of radii, with one table pass
-        for the states and their t-derivatives; the scalar accessors above
-        read it."""
+        for the states and their t-derivatives; all three are NaN at a NaN
+        radius."""
         r = np.asarray(r, dtype=float)
         k, c, rr = self.params.k, self._c_ext, np.maximum(r, 0.0)
         vals = np.array([c * rr**k, c * k * rr ** (k - 1),
                          c * k * (k - 1) * rr ** (k - 2)])
         vals[:, r <= 0.0] = 0.0
+        vals[:, np.isnan(r)] = np.nan  # NaN ** 0 is 1, so k = 2 would not carry it
         on = r >= self.r_min
         if np.any(on):
             t = np.log(np.minimum(r[on], self.r_max))
-            (phi, psi), (_, psi_t) = self.orbit._read(t)
+            (phi, psi), (_, psi_t) = self.orbit.read(t)
             vals[:, on] = r[on] * phi, phi + psi, (psi_t + psi) / r[on]
         return tuple(vals)
+
+
+def _check_params(orbit: Orbit, params: LomseParams) -> None:
+    """``ValueError`` unless ``params`` is the triple of ``orbit``."""
+    if params != orbit.params:
+        raise ValueError(f"params {params} differ from the orbit's {orbit.params}")
 
 
 def extract_profile(orbit: Orbit, params: LomseParams) -> Profile:
     """Convert a converged orbit into the profile rho(r) = e^t phi(t).
 
+    ``params`` must be the orbit's own triple (``ValueError`` otherwise).
     The residual of the radial equation is evaluated at every interior
-    solver sample, with rho_rr taken from the differentiated interpolant so
-    the check is a genuine consistency test of the integration.
+    solver sample, with rho_rr taken from the differentiated interpolant.
+    That is no independent check: at a node the differentiated dense output
+    equals the field to about 1e-12 at any tolerance (ROADMAP item 5).
     """
+    _check_params(orbit, params)
     if orbit.terminal is not Terminal.CONVERGED_TO_P1:
         raise NotConverged(f"orbit terminal is {orbit.terminal.value}")
 
@@ -511,7 +498,7 @@ def extract_profile(orbit: Orbit, params: LomseParams) -> Profile:
     rho_r = orbit.phi + orbit.psi
     residuals = np.zeros_like(rho)
     if len(t) > 2:
-        rho_rr = (orbit.psi_t_at(t[1:-1]) + orbit.psi[1:-1]) / r[1:-1]
+        rho_rr = (orbit.read(t[1:-1])[1][1] + orbit.psi[1:-1]) / r[1:-1]
         residuals[1:-1] = ode1_residual(rho[1:-1], rho_r[1:-1], rho_rr, r[1:-1], params)
 
     # leading-order fit: while phi is still tiny the orbit is linear and

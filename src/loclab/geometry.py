@@ -113,9 +113,10 @@ def cone_density(params: LomseParams) -> float:
     return _half_power(one_plus_l2p2, params.p) / _half_power(one_plus_p2, params.n)
 
 
-def _volume_weight(profile, params: LomseParams, r: np.ndarray) -> np.ndarray:
+def _volume_weight(profile, r: np.ndarray) -> np.ndarray:
     """The volume integrand sqrt(1+rho_r^2) (r^2 + lambda^2 rho^2)^(p/2) r^(n-p)
     in dr at an array of radii, with one read of the profile."""
+    params = profile.params
     n, p = params.n, params.p
     rho, rho_r, _ = profile.values_at(r)
     return (np.sqrt(1.0 + rho_r * rho_r)
@@ -132,18 +133,17 @@ _GL_LOW, _GL_HIGH = _unit_gauss_legendre(8), _unit_gauss_legendre(12)
 _MAX_BISECTIONS = 20
 
 
-def _panel_sums(profile, params: LomseParams, a: np.ndarray, b: np.ndarray):
+def _panel_sums(profile, a: np.ndarray, b: np.ndarray):
     """The 8- and 12-point Gauss-Legendre sums of the volume integrand in
     t = log r, w(r) r dt, over the panels [a_i, b_i], with one profile read."""
     width = (b - a)[:, None]
     t = a[:, None] + width * np.concatenate([_GL_LOW[0], _GL_HIGH[0]])
     r = np.exp(t)
-    f = _volume_weight(profile, params, r.ravel()).reshape(r.shape) * r * width
+    f = _volume_weight(profile, r.ravel()).reshape(r.shape) * r * width
     return f[:, :8] @ _GL_LOW[1], f[:, 8:] @ _GL_HIGH[1]
 
 
-def _graph_volumes(profile, params: LomseParams, radii: np.ndarray,
-                   rel_tol: float) -> np.ndarray:
+def _graph_volumes(profile, radii: np.ndarray, rel_tol: float) -> np.ndarray:
     """Integral of the volume integrand over (0, R] for each R in the sorted,
     positive array ``radii``, without the omega_n factor.
 
@@ -165,11 +165,11 @@ def _graph_volumes(profile, params: LomseParams, radii: np.ndarray,
     r_lo = min(profile.r_min if profile.r_min > 0.0 else radii[0] * 1e-12, radii[0])
     # quad refuses an epsrel below 50 eps; this piece is about r_lo^(n+1)
     # of the total, so the floor costs nothing at any rel_tol
-    base = quad(lambda r: _volume_weight(profile, params, np.array([r]))[0],
+    base = quad(lambda r: _volume_weight(profile, np.array([r]))[0],
                 0.0, r_lo, epsabs=0.0, epsrel=max(eps, 50 * np.finfo(float).eps),
                 limit=200)[0]
     knots = np.unique(np.log(np.concatenate([[r_lo], radii])))
-    edges = [np.linspace(lo, hi, math.ceil((hi - lo) * (params.n + 1)) + 1)
+    edges = [np.linspace(lo, hi, math.ceil((hi - lo) * (profile.params.n + 1)) + 1)
              for lo, hi in zip(knots[:-1], knots[1:])]
     a = np.concatenate([[]] + [e[:-1] for e in edges])
     b = np.concatenate([[]] + [e[1:] for e in edges])
@@ -178,7 +178,7 @@ def _graph_volumes(profile, params: LomseParams, radii: np.ndarray,
     for depth in range(_MAX_BISECTIONS + 1):
         if a.size == 0:
             break
-        low, high = _panel_sums(profile, params, a, b)
+        low, high = _panel_sums(profile, a, b)
         if threshold is None:
             threshold = eps * abs(base + np.sum(high))
         split = (np.abs(high - low) > threshold) & (depth < _MAX_BISECTIONS)
@@ -193,33 +193,38 @@ def _graph_volumes(profile, params: LomseParams, radii: np.ndarray,
     return cumulative[np.searchsorted(knots, np.log(radii))]
 
 
-def graph_volume(
-    profile, params: LomseParams, R: float, rel_tol: float = 1e-8
-) -> float:
+def _check_radius(R: float) -> None:
+    if not (math.isfinite(R) and R > 0.0):
+        raise ValueError(f"radius must be finite and positive, got {R}")
+
+
+def graph_volume(profile, R: float, rel_tol: float = 1e-8) -> float:
     """Volume of the graph over the radial slab 0 < r <= R:
     omega_n * integral_0^R sqrt(1+rho_r^2) (r^2 + lambda^2 rho^2)^(p/2)
-    r^(n-p) dr, by the panel rule of ``_graph_volumes``."""
-    if R <= 0.0:
+    r^(n-p) dr, by the panel rule of ``_graph_volumes``; 0 for R <= 0, where
+    the slab is empty, and ``ValueError`` for a non-finite R."""
+    if math.isfinite(R) and R <= 0.0:
         return 0.0
-    return sphere_volume(params.n) * float(
-        _graph_volumes(profile, params, np.array([R]), rel_tol)[0])
+    _check_radius(R)
+    return sphere_volume(profile.params.n) * float(
+        _graph_volumes(profile, np.array([R]), rel_tol)[0])
 
 
-def density_at(
-    profile, params: LomseParams, R: float, rel_tol: float = 1e-8
-) -> float:
-    """Density at extrinsic radius R: Vol(M cap B(R)) / (ball_{n+1} R^{n+1})."""
-    n = params.n
+def density_at(profile, R: float, rel_tol: float = 1e-8) -> float:
+    """Density at extrinsic radius R: Vol(M cap B(R)) / (ball_{n+1} R^{n+1});
+    ``ValueError`` unless R is finite and positive."""
+    _check_radius(R)
+    n = profile.params.n
 
     def radius_excess(r: float) -> float:
-        rho = profile.rho_at(r)
+        rho = profile.values_at([r])[0][0]
         return r * r + rho * rho - R * R
 
     if radius_excess(min(R, profile.r_max)) <= 0.0:
         r_star = min(R, profile.r_max)
     else:
         r_star = brentq(radius_excess, 0.0, min(R, profile.r_max), xtol=1e-14 * R)
-    vol = graph_volume(profile, params, r_star, rel_tol=rel_tol)
+    vol = graph_volume(profile, r_star, rel_tol=rel_tol)
     return vol / (ball_volume(n + 1) * R ** (n + 1))
 
 
@@ -235,21 +240,22 @@ class DensityReport:
     verdict: Verdict
 
 
-def density_report(
-    profile, params: LomseParams, radii: list[float], rel_tol: float = 1e-8
-) -> DensityReport:
+def density_report(profile, radii: list[float], rel_tol: float = 1e-8) -> DensityReport:
     """Density sequence at R_i = sqrt(d_i^2 + rho(d_i)^2) for the rescaling
     radii d_i, compared against the cone density.
 
     The cone is declared non-minimizing when the first density sits strictly
-    below the cone density by more than ten quadrature tolerances.
+    below the cone density by more than ten quadrature tolerances.  Each d_i
+    must be finite and positive (``ValueError`` otherwise).
     """
-    n = params.n
+    n = profile.params.n
     d = np.sort(np.asarray(radii, dtype=float))
+    for r in d:
+        _check_radius(r)
     R = np.hypot(d, profile.values_at(d)[0])
-    vols = sphere_volume(n) * _graph_volumes(profile, params, d, rel_tol)
+    vols = sphere_volume(n) * _graph_volumes(profile, d, rel_tol)
     thetas = (vols / (ball_volume(n + 1) * R ** (n + 1))).tolist()
-    theta0 = cone_density(params)
+    theta0 = cone_density(profile.params)
     if thetas and thetas[0] < theta0 - 10.0 * rel_tol:
         verdict = Verdict.NON_MINIMIZING
     else:

@@ -29,7 +29,7 @@ def _check_unit(x) -> np.ndarray:
     if x.ndim == 0 or x.shape[-1] != 4:
         raise NotOnSphere(f"expected 4-vectors, got shape {x.shape}")
     norms = np.linalg.norm(x, axis=-1)
-    if np.any(np.abs(norms - 1.0) > SPHERE_TOL):
+    if not np.all(np.abs(norms - 1.0) <= SPHERE_TOL):  # also refuses NaN
         raise NotOnSphere(f"|x| = {norms!r} is not 1 within {SPHERE_TOL}")
     return x
 
@@ -154,14 +154,13 @@ def general_ode_residual(profile: Profile, x, n_radii: int = 20) -> float:
     return float(np.max(np.abs(gen)))
 
 
-def general_vs_lomse_deviation(profile: Profile, params: LomseParams, x,
-                               n_radii: int = 20) -> float:
+def general_vs_lomse_deviation(profile: Profile, x, n_radii: int = 20) -> float:
     """Max pointwise gap between the general equation (sampled singular
     values) and the reduced one (constant lambda); zero when the singular
     values are genuinely constant.  ``x`` is one 4-vector or a stack of them;
     the profile is read once for all of them."""
     gen, values, radii = _general_residuals(profile, x, n_radii)
-    red = ode1_residual(*values, radii, params)
+    red = ode1_residual(*values, radii, profile.params)
     return float(np.max(np.abs(gen - red)))
 
 
@@ -206,10 +205,10 @@ def hopf_verify_report(
     seed: int = 0,
 ) -> dict:
     """Full verification report: per-check name, max deviation, tolerance,
-    pass flag.  The profile-dependent equation checks are skipped when no
-    profile is supplied.  The Hopf map is of (3,2,2)-type, so a profile or
-    params of another triple raise ``WrongCase``: its singular values (2,2,0)
-    are not that triple's, and the comparison would prove nothing."""
+    pass flag.  The profile-dependent equation check runs whenever a profile
+    is supplied.  The Hopf map is of (3,2,2)-type, so a profile or params of
+    another triple raise ``WrongCase``: its singular values (2,2,0) are not
+    that triple's, and the comparison would prove nothing."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     for name, p in (("params", params), ("profile.params", getattr(profile, "params", None))):
@@ -244,8 +243,8 @@ def hopf_verify_report(
                              - ode1_residual(rho, rho_r, rho_rr, r, p322)))
     add("Hopf-symmetric vs reduced equation", ode4_dev, 1e-12)
 
-    if profile is not None and params is not None:
-        gap = general_vs_lomse_deviation(profile, params, xs[:20])
+    if profile is not None:
+        gap = general_vs_lomse_deviation(profile, xs[:20])
         add("general vs reduced equation on profile", gap, 1e-8)
 
     return {"checks": checks, "pass": all(c["pass"] for c in checks)}

@@ -65,21 +65,14 @@ def profile_324(orbit_324, p324):
 
 
 class ConeProfile:
-    """Exact cone rho = phi0 r, defined on all of (0, inf)."""
+    """Exact cone rho = phi0 r of a triple, defined on all of (0, inf);
+    ``slope`` replaces the triple's phi0 (0 gives the flat plane)."""
 
-    def __init__(self, phi0: float):
-        self.phi0 = phi0
+    def __init__(self, params, slope: float | None = None):
+        self.params = params
+        self.phi0 = params.phi0 if slope is None else slope
         self.r_min = 0.0
         self.r_max = math.inf
-
-    def rho_at(self, r: float) -> float:
-        return self.phi0 * r
-
-    def rho_r_at(self, r: float) -> float:
-        return self.phi0
-
-    def rho_rr_at(self, r: float) -> float:
-        return 0.0
 
     def values_at(self, r):
         r = np.asarray(r, dtype=float)
@@ -88,7 +81,7 @@ class ConeProfile:
 
 @pytest.fixture(scope="session")
 def cone_profile_322(p322):
-    return ConeProfile(p322.phi0)
+    return ConeProfile(p322)
 
 
 SWEEP = [

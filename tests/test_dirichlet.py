@@ -61,7 +61,7 @@ def test_crossing_values_on_level(orbit_324, p324):
     for pb in (p324.phi0 * 0.7, p324.phi0 * 1.001):
         rep = L.dirichlet_multiplicity(orbit_324, p324, pb)
         for t in rep.crossing_ts:
-            assert abs(orbit_324.point_at(t).phi - pb) < 1e-12
+            assert abs(orbit_324.read(t)[0][0] - pb) < 1e-12
 
 
 def test_phi_extrema_bracket(orbit_324, p324):
@@ -80,12 +80,12 @@ def test_phi1_equals_phi0_for_type1(orbit_322, p322):
 
 
 def test_epsilon_window(orbit_324, orbit_546, orbit_322, p324, p546, p322):
-    w = L.epsilon_window(orbit_324, p324)
+    w = L.epsilon_window(orbit_324)
     assert 0 < w <= p324.phi0 / 5
-    w = L.epsilon_window(orbit_546, p546)
+    w = L.epsilon_window(orbit_546)
     assert 0 < w <= p546.phi0 / 5
     with pytest.raises(L.WrongType):
-        L.epsilon_window(orbit_322, p322)
+        L.epsilon_window(orbit_322)
 
 
 def test_not_converged_rejected(p322):
@@ -99,12 +99,8 @@ def test_rescaling_invariance(profile_324, p324):
     # direct substitution at 100 points
     d = 25.0
     rs = np.geomspace(profile_324.r_min, profile_324.r_max / d, 100)
-    worst = 0.0
-    for r in rs:
-        rho = profile_324.rho_at(d * r) / d
-        rho_r = profile_324.rho_r_at(d * r)
-        rho_rr = profile_324.rho_rr_at(d * r) * d
-        worst = max(worst, abs(L.ode1_residual(rho, rho_r, rho_rr, float(r), p324)))
+    rho, rho_r, rho_rr = profile_324.values_at(d * rs)
+    worst = np.max(np.abs(L.ode1_residual(rho / d, rho_r, rho_rr * d, rs, p324)))
     assert worst < 1e-7
 
 
@@ -114,7 +110,7 @@ def test_boundary_identity(orbit_324, profile_324, p324):
     for d in rep.d_values:
         if d > profile_324.r_max:
             continue
-        assert abs(profile_324.rho_at(d) / d - p324.phi0) < 1e-9
+        assert abs(profile_324.values_at([d])[0][0] / d - p324.phi0) < 1e-9
 
 
 def test_nonminimizing_verdict(profile_324, orbit_324, p324):
@@ -137,13 +133,31 @@ def test_nonminimizing_verdict_at_tight_quadrature_tolerance(npk):
     tight = L.nonminimizing_verdict(prof, orbit, p, rel_tol=1e-13)
     assert tight.verdict is loose.verdict is L.Verdict.NON_MINIMIZING
     assert np.allclose(tight.theta_seq, loose.theta_seq, rtol=1e-14, atol=0.0)
-    assert L.density_at(prof, p, 1.0, rel_tol=1e-13) == pytest.approx(
-        L.density_at(prof, p, 1.0, rel_tol=1e-10), rel=1e-14)
+    assert L.density_at(prof, 1.0, rel_tol=1e-13) == pytest.approx(
+        L.density_at(prof, 1.0, rel_tol=1e-10), rel=1e-14)
 
 
 def test_nonminimizing_wrong_type(profile_322, orbit_322, p322):
     with pytest.raises(L.WrongType):
         L.nonminimizing_verdict(profile_322, orbit_322, p322)
+
+
+def test_a_triple_other_than_the_orbits_is_refused(profile_324, orbit_324, p324, p322):
+    # (3,2,6) is TypeII too, and (3,2,2) is TypeI: neither may pass for the
+    # (3,2,4) orbit, nor turn into a WrongType verdict on the wrong triple
+    p326 = L.validate_params(3, 2, 6)
+    for params in (p326, p322):
+        name = rf"\({params.n},{params.p},{params.k}\).*\(3,2,4\)"
+        with pytest.raises(ValueError, match=name):
+            L.nonminimizing_verdict(profile_324, orbit_324, params)
+        with pytest.raises(ValueError, match=name):
+            L.dirichlet_multiplicity(orbit_324, params, 0.5)
+
+
+def test_nonminimizing_refuses_an_orbit_the_profile_is_not_from(profile_324, p324):
+    other = L.integrate_orbit(p324, L.seed_unstable(p324))
+    with pytest.raises(ValueError, match="not extracted from this orbit"):
+        L.nonminimizing_verdict(profile_324, other, p324)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +176,7 @@ def _full_grid_scan(orbit, refine: int = 8):
         fa, fb = vals[:, :-1], vals[:, 1:]
         roots = [float(a) for a in grid[:, :-1][fa == 0.0]]
         for i, j in zip(*np.nonzero(fa * fb < 0.0)):
-            roots.append(float(brentq(lambda t: orbit.point_at(t).phi - level, grid[i, j],
+            roots.append(float(brentq(lambda t: orbit.interpolant(t)[0] - level, grid[i, j],
                                       grid[i, j + 1], xtol=1e-13, rtol=1e-15)))
         if vals[-1, -1] == 0.0:
             roots.append(float(ts[-1]))

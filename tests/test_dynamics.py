@@ -115,9 +115,9 @@ def test_type1_orbit_monotone(orbit_322):
 
 
 def test_type1_limit(orbit_322, p322):
-    end = orbit_322.point_at(orbit_322.t[-1])
-    assert math.hypot(end.phi - p322.phi0, end.psi) < 2e-9
-    assert math.isclose(end.phi, math.sqrt(5) / 2, abs_tol=1e-8)
+    end_phi, end_psi = orbit_322.read(orbit_322.t[-1])[0]
+    assert math.hypot(end_phi - p322.phi0, end_psi) < 2e-9
+    assert math.isclose(end_phi, math.sqrt(5) / 2, abs_tol=1e-8)
 
 
 def test_type2_orbit_events(orbit_324, p324):
@@ -128,15 +128,9 @@ def test_type2_orbit_events(orbit_324, p324):
     for e in evs:
         assert abs(e.point.psi) < 1e-12
     # alternating psi sign between events
-    for e0, e1 in zip(evs, evs[1:]):
-        mid = orbit_324.point_at(0.5 * (e0.t + e1.t))
-        assert mid.psi != 0.0
-    signs = [
-        math.copysign(
-            1.0, orbit_324.point_at(0.5 * (e0.t + e1.t)).psi
-        )
-        for e0, e1 in zip(evs, evs[1:])
-    ]
+    mid_psi = orbit_324.read([0.5 * (e0.t + e1.t) for e0, e1 in zip(evs, evs[1:])])[0][1]
+    assert np.all(mid_psi != 0.0)
+    signs = np.sign(mid_psi)
     assert all(a == -b for a, b in zip(signs, signs[1:]))
     # graph slope rho_r = phi + psi stays positive
     assert np.all(orbit_324.phi + orbit_324.psi > 0)
@@ -186,11 +180,8 @@ def test_translation_invariance(p322):
     # autonomy: shifting the seed time shifts the orbit rigidly
     a = L.integrate_orbit(p322, L.PhasePoint(1e-8, 1e-8, 0.0))
     b = L.integrate_orbit(p322, L.PhasePoint(1e-8, 1e-8, 5.0))
-    for t in np.linspace(1.0, 20.0, 15):
-        pa = a.point_at(t)
-        pb = b.point_at(t + 5.0)
-        assert abs(pa.phi - pb.phi) < 1e-9
-        assert abs(pa.psi - pb.psi) < 1e-9
+    t = np.linspace(1.0, 20.0, 15)
+    assert np.max(np.abs(a.read(t)[0] - b.read(t + 5.0)[0])) < 1e-9
 
 
 @pytest.mark.parametrize("npk, relaxed, tol", [
@@ -209,8 +200,8 @@ def test_spiral_entering_the_ball_converges(npk, relaxed, tol):
     orbit = L.integrate_orbit(p, L.seed_unstable(p), tolerances=tol)
     assert orbit.terminal is Terminal.CONVERGED_TO_P1
     assert orbit.t[-1] < 200.0
-    end = orbit.point_at(orbit.t[-1])
-    assert math.hypot(end.phi - p.phi0, end.psi) == pytest.approx(tol.conv_radius, rel=1e-6)
+    end_phi, end_psi = orbit.read(orbit.t[-1])[0]
+    assert math.hypot(end_phi - p.phi0, end_psi) == pytest.approx(tol.conv_radius, rel=1e-6)
     assert L.extract_profile(orbit, p).r_max == pytest.approx(math.exp(orbit.t[-1]))
 
 
@@ -228,6 +219,11 @@ def test_max_time_reached(p322):
         L.extract_profile(orbit, p322)
 
 
+def test_extract_profile_refuses_a_triple_other_than_the_orbits(orbit_324, p322):
+    with pytest.raises(ValueError, match=r"\(3,2,2\).*\(3,2,4\)"):
+        L.extract_profile(orbit_324, p322)
+
+
 def test_leave_domain(p322):
     # the cubic damping confines every forward orbit, so exercise the
     # domain guard on a backward run, which blows up off the slow manifold
@@ -243,36 +239,37 @@ def test_profile_extraction(profile_322, p322):
     assert abs(prof.small_r_slope - p322.k) / p322.k < 0.05
     # tangent cone at infinity: rho/r -> phi0 = sqrt(5)/2
     assert math.isclose(
-        prof.rho_at(prof.r_max) / prof.r_max, math.sqrt(5) / 2, abs_tol=1e-8
+        prof.values_at([prof.r_max])[0][0] / prof.r_max, math.sqrt(5) / 2, abs_tol=1e-8
     )
 
 
 def test_profile_interior_residual(orbit_322, p322, profile_322):
     # residual at off-node points exercises the interpolant genuinely
-    ts = orbit_322.t
-    worst = 0.0
-    for a, b in zip(ts[:-1], ts[1:]):
-        t = 0.5 * (a + b)
-        r = math.exp(t)
-        pt = orbit_322.point_at(t)
-        rho_rr = (orbit_322.psi_t_at(t) + pt.psi) / r
-        worst = max(
-            worst,
-            abs(L.ode1_residual(r * pt.phi, pt.phi + pt.psi, rho_rr, r, p322)),
-        )
-    assert worst < 1e-8
+    t = 0.5 * (orbit_322.t[:-1] + orbit_322.t[1:])
+    r = np.exp(t)
+    (phi, psi), (_, psi_t) = orbit_322.read(t)
+    res = L.ode1_residual(r * phi, phi + psi, (psi_t + psi) / r, r, p322)
+    assert np.max(np.abs(res)) < 1e-8
 
 
 def test_profile_power_law_extension(profile_322, p322):
     # value and slope are continuous across the seed radius
     r0 = profile_322.r_min
-    assert math.isclose(
-        profile_322.rho_at(r0 * 0.999999) / profile_322.rho_at(r0), 1.0, rel_tol=1e-4
-    )
-    below = profile_322.rho_r_at(r0 * 0.5)
+    rho_below, rho_r0 = profile_322.values_at([r0 * 0.999999, r0])[0]
+    assert math.isclose(rho_below / rho_r0, 1.0, rel_tol=1e-4)
+    below = profile_322.values_at([r0 * 0.5])[1][0]
     assert below == pytest.approx(
         profile_322._c_ext * p322.k * (r0 * 0.5) ** (p322.k - 1)
     )
+
+
+@pytest.mark.parametrize("name", ["profile_322", "profile_324"])
+def test_profile_values_at_nan_are_nan(name, request):
+    # at k = 2, rho_rr below r_min is c k (k-1) r^0, and NaN ** 0 is 1
+    prof = request.getfixturevalue(name)
+    values = prof.values_at([math.nan, prof.r_min, math.nan])
+    for v in values:
+        assert np.isnan(v[0]) and np.isfinite(v[1]) and np.isnan(v[2])
 
 
 def test_nonfinite_and_validation(p322):

@@ -98,26 +98,26 @@ def test_graph_volume_cone_closed_form(p322, cone_profile_322):
             * R ** (n + 1)
             / (n + 1)
         )
-        got = L.graph_volume(cone_profile_322, p322, R)
+        got = L.graph_volume(cone_profile_322, R)
         assert math.isclose(got, want, rel_tol=1e-8)
 
 
 def test_graph_volume_flat_plane(p322):
-    flat = ConeProfile(0.0)
-    got = L.graph_volume(flat, p322, 1.0)
+    flat = ConeProfile(p322, slope=0.0)
+    got = L.graph_volume(flat, 1.0)
     assert math.isclose(got, L.sphere_volume(3) / 4, rel_tol=1e-8)
-    assert math.isclose(L.density_at(flat, p322, 1.0), 1.0, rel_tol=1e-8)
-    assert math.isclose(L.density_at(flat, p322, 7.0), 1.0, rel_tol=1e-8)
+    assert math.isclose(L.density_at(flat, 1.0), 1.0, rel_tol=1e-8)
+    assert math.isclose(L.density_at(flat, 7.0), 1.0, rel_tol=1e-8)
 
 
-def test_graph_volume_monotone(profile_322, p322):
-    vols = [L.graph_volume(profile_322, p322, R) for R in (1.0, 2.0, 4.0, 8.0)]
+def test_graph_volume_monotone(profile_322):
+    vols = [L.graph_volume(profile_322, R) for R in (1.0, 2.0, 4.0, 8.0)]
     assert all(a < b for a, b in zip(vols, vols[1:]))
 
 
-def test_graph_volume_domain_too_short(profile_322, p322):
+def test_graph_volume_domain_too_short(profile_322):
     with pytest.raises(L.DomainTooShort):
-        L.graph_volume(profile_322, p322, profile_322.r_max * 2.0)
+        L.graph_volume(profile_322, profile_322.r_max * 2.0)
 
 
 def _quad_volumes(profile, params, radii: list[float]) -> list[float]:
@@ -127,7 +127,7 @@ def _quad_volumes(profile, params, radii: list[float]) -> list[float]:
     n, p, lam2 = params.n, params.p, float(params.lambda2)
 
     def w(r: float) -> float:
-        rho, rho_r = profile.rho_at(r), profile.rho_r_at(r)
+        rho, rho_r, _ = (float(v[0]) for v in profile.values_at([r]))
         return (math.sqrt(1.0 + rho_r * rho_r) * (r * r + lam2 * rho * rho) ** (p / 2)
                 * r ** (n - p))
 
@@ -153,10 +153,10 @@ def test_gauss_legendre_volumes_match_adaptive_quad(triple, tight):
     crossings = [math.exp(e.t) for e in orbit.events_of(L.EventKind.PHI_EQUALS_PHI0)]
     # below, at and above the seed radius r_min = 1, the crossings, and r_max
     radii = sorted([0.5, prof.r_min, 2.0] + crossings + [prof.r_max])
-    rep = L.density_report(prof, p, radii)
+    rep = L.density_report(prof, radii)
     for R, theta, want in zip(radii, rep.theta_seq, _quad_volumes(prof, p, radii)):
-        assert math.isclose(L.graph_volume(prof, p, R), want, rel_tol=1e-10)
-        ball = L.ball_volume(p.n + 1) * math.hypot(R, prof.rho_at(R)) ** (p.n + 1)
+        assert math.isclose(L.graph_volume(prof, R), want, rel_tol=1e-10)
+        ball = L.ball_volume(p.n + 1) * math.hypot(R, prof.values_at([R])[0][0]) ** (p.n + 1)
         assert math.isclose(theta, want / ball, rel_tol=1e-10)
 
 
@@ -166,8 +166,8 @@ class BumpProfile:
 
     r_min, r_max = 0.0, math.inf
 
-    def __init__(self, phi0: float):
-        self.phi0 = phi0
+    def __init__(self, params):
+        self.params, self.phi0 = params, params.phi0
 
     def values_at(self, r):
         t = np.log(np.asarray(r, dtype=float))
@@ -178,7 +178,7 @@ class BumpProfile:
 
 
 def test_gauss_legendre_refines_a_narrow_feature(p322):
-    prof = BumpProfile(p322.phi0)
+    prof = BumpProfile(p322)
     n, p, lam2 = p322.n, p322.p, float(p322.lambda2)
 
     def w_t(t: float) -> float:  # the integrand in t = log r
@@ -191,26 +191,52 @@ def test_gauss_legendre_refines_a_narrow_feature(p322):
     R = math.exp(2.0)
     want = quad(w_t, math.log(R * 1e-12), 2.0, points=[0.95, 1.0, 1.05], epsabs=0.0,
                 epsrel=1e-12, limit=500)[0]
-    got = L.graph_volume(prof, p322, R) / L.sphere_volume(n)
+    got = L.graph_volume(prof, R) / L.sphere_volume(n)
     assert math.isclose(got, want, rel_tol=1e-10)
 
 
+_BAD_RADII = [-1.0, 0.0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("R", _BAD_RADII)
+def test_density_report_refuses_a_bad_radius(profile_324, R):
+    with pytest.raises(ValueError, match=f"got {R}"):
+        L.density_report(profile_324, [1.0, R])
+
+
+@pytest.mark.parametrize("R", _BAD_RADII + [-math.inf])
+def test_density_at_refuses_a_bad_radius(profile_324, R):
+    with pytest.raises(ValueError, match=f"got {R}"):
+        L.density_at(profile_324, R)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+def test_graph_volume_refuses_a_non_finite_radius(profile_324, R):
+    with pytest.raises(ValueError, match=f"got {R}"):
+        L.graph_volume(profile_324, R)
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0])
+def test_graph_volume_of_an_empty_slab_is_zero(profile_324, R):
+    assert L.graph_volume(profile_324, R) == 0.0
+
+
 def test_cone_density_at_matches_formula(p322, cone_profile_322):
-    got = L.density_at(cone_profile_322, p322, 2.0)
+    got = L.density_at(cone_profile_322, 2.0)
     assert math.isclose(got, L.cone_density(p322), rel_tol=1e-8)
 
 
 def test_density_monotone_in_R(profile_324, p324):
     radii = np.geomspace(2.0, profile_324.r_max * 0.9, 50)
-    dens = [L.density_at(profile_324, p324, float(R)) for R in radii]
+    dens = [L.density_at(profile_324, float(R)) for R in radii]
     diffs = np.diff(dens)
     assert np.all(diffs > -1e-8)
     assert all(d <= L.cone_density(p324) + 1e-8 for d in dens)
 
 
 def test_density_report_cone_is_inconclusive(p324):
-    cone = ConeProfile(p324.phi0)
-    rep = L.density_report(cone, p324, [1.0, 2.0, 5.0])
+    cone = ConeProfile(p324)
+    rep = L.density_report(cone, [1.0, 2.0, 5.0])
     assert rep.verdict is L.Verdict.INCONCLUSIVE
     assert all(abs(t - rep.theta_cone) < 1e-7 for t in rep.theta_seq)
 

@@ -57,6 +57,25 @@ def test_not_on_sphere():
         L.singular_value_sample([0.5, 0.0, 0.0, 0.0])
 
 
+_EVERY_ENTRY = (L.hopf_map, L.singular_value_sample,
+                lambda x: L.los_condition_b(x, 0.5), L.los_angle_root)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", _EVERY_ENTRY,
+                         ids=["hopf_map", "singular_value_sample", "los_condition_b",
+                              "los_angle_root"])
+def test_non_finite_points_are_not_on_the_sphere(entry, bad):
+    # |NaN - 1| > tol is False, so only a test that the norm is within the
+    # tolerance refuses a NaN point
+    point = [bad, 0.0, 0.0, 0.0]
+    stack = _random_unit_vectors(5, seed=3)
+    stack[2, 1] = bad
+    for x in (point, stack):
+        with pytest.raises(L.NotOnSphere):
+            entry(x)
+
+
 def test_singular_values_constant():
     worst = 0.0
     for x in _random_unit_vectors(1000, seed=3):
@@ -232,14 +251,14 @@ def test_import_loads_no_sympy():
     )
 
 
-def test_general_vs_reduced_on_profile(profile_322, p322):
+def test_general_vs_reduced_on_profile(profile_322):
     for x in _random_unit_vectors(20, seed=23):
-        assert L.general_vs_lomse_deviation(profile_322, p322, x) < 1e-8
+        assert L.general_vs_lomse_deviation(profile_322, x) < 1e-8
 
 
 def test_general_residual_on_cone(cone_profile_322, p322):
     cone = cone_profile_322
-    cone_bounded = type(cone)(cone.phi0)
+    cone_bounded = type(cone)(cone.params)
     cone_bounded.r_min, cone_bounded.r_max = 0.5, 50.0
     for x in _random_unit_vectors(5, seed=29):
         assert L.general_ode_residual(cone_bounded, x) < 1e-9
@@ -260,6 +279,14 @@ def test_full_report(profile_322, p322):
     names = {c["name"] for c in rep["checks"]}
     assert "singular values (2,2,0)" in names
     assert "general vs reduced equation on profile" in names
+
+
+def test_report_with_a_profile_alone_checks_the_profile(profile_322, p322):
+    # the profile carries its triple, so the profile check needs no params
+    alone = L.hopf_verify_report(profile=profile_322, n_samples=50)
+    both = L.hopf_verify_report(profile=profile_322, params=p322, n_samples=50)
+    assert alone == both
+    assert len(alone["checks"]) == 7 and alone["pass"]
 
 
 def test_report_refuses_a_bad_sample_count():

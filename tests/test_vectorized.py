@@ -44,11 +44,11 @@ def test_states_at_equals_interpolant(triple, t_max, tol):
     rng = np.random.default_rng(sum(triple))
     t = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1]), rng.uniform(*np.sort(ts[[0, -1]]), 500),
                         [ts[0], ts[-1]]])
-    assert np.array_equal(orbit.states_at(t), orbit.interpolant(t))
+    assert np.array_equal(orbit.read(t)[0], orbit.interpolant(t))
     grid = t[: t.size // 2 * 2].reshape(-1, 2)
-    assert np.array_equal(orbit.states_at(grid), orbit.interpolant(grid.ravel()).reshape(2, -1, 2))
+    assert np.array_equal(orbit.read(grid)[0], orbit.interpolant(grid.ravel()).reshape(2, -1, 2))
     for x in (ts[0], ts[len(ts) // 2], 0.5 * (ts[1] + ts[2]), ts[-1]):
-        assert np.array_equal(orbit.states_at(x), orbit.interpolant(x))
+        assert np.array_equal(orbit.read(x)[0], orbit.interpolant(x))
 
 
 def _psi_t_polyfit(orbit, t: float) -> float:
@@ -75,12 +75,11 @@ def test_batched_psi_t_matches_scalar_reference(name, request):
     # max|psi| * 2/|h| over the step: that is the scale of "relative" here
     scale = np.maximum(np.abs(orbit.psi[:-1]), np.abs(orbit.psi[1:])) * 2.0 / np.abs(h)
     for points, steps in ((t[1:-1], slice(1, None)), (t[:-1] + 0.5 * h, slice(None))):
-        batched = orbit.psi_t_at(points)
+        batched = orbit.read(points)[1][1]
         ref = np.array([_psi_t_polyfit(orbit, float(x)) for x in points])
         assert np.all(np.abs(batched - ref) <= 1e-12 * scale[steps])
-        scalar = np.array([orbit.psi_t_at(float(x)) for x in points])
+        scalar = np.array([orbit.read(float(x))[1][1] for x in points])
         assert np.array_equal(scalar, batched)
-        assert isinstance(orbit.psi_t_at(float(points[0])), float)
 
 
 def _brute_force_crossings(orbit, level: float, refine: int = 8) -> list[float]:
@@ -89,12 +88,12 @@ def _brute_force_crossings(orbit, level: float, refine: int = 8) -> list[float]:
     ts = orbit.t
     for i in range(len(ts) - 1):
         grid = np.linspace(ts[i], ts[i + 1], refine + 1)
-        vals = [orbit.point_at(x).phi - level for x in grid]
+        vals = [orbit.interpolant(x)[0] - level for x in grid]
         for j in range(refine):
             if vals[j] == 0.0:
                 roots.append(float(grid[j]))
             elif vals[j] * vals[j + 1] < 0.0:
-                roots.append(brentq(lambda x: orbit.point_at(x).phi - level,
+                roots.append(brentq(lambda x: orbit.interpolant(x)[0] - level,
                                     grid[j], grid[j + 1], xtol=1e-13, rtol=1e-15))
     return sorted(roots)
 
@@ -109,7 +108,7 @@ def test_batched_crossings_match_brute_force(orbit_324, p324):
         assert len(got) == len(ref) >= 1
         assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
         for t in got:
-            assert abs(orbit_324.point_at(t).phi - level) <= 1e-12
+            assert abs(orbit_324.read(t)[0][0] - level) <= 1e-12
 
 
 def test_batched_singular_values_match_per_sample():
@@ -182,14 +181,13 @@ def test_profile_values_match_scalar_accessors(profile_324):
     r = np.concatenate([[-1.0, 0.0, 0.3 * prof.r_min],
                         np.geomspace(prof.r_min, prof.r_max, 25),
                         [2.0 * prof.r_max]])
-    rho, rho_r, rho_rr = prof.values_at(r)
-    accessors = (prof.rho_at, prof.rho_r_at, prof.rho_rr_at)
-    for got, acc in zip((rho, rho_r, rho_rr), accessors):
-        ref = np.array([acc(float(x)) for x in r])
+    batched = prof.values_at(r)
+    for i, got in enumerate(batched):
+        ref = np.array([prof.values_at([float(x)])[i][0] for x in r])
         assert np.array_equal(got, ref)
 
 
-def test_deviation_over_a_stack_is_max_over_points(profile_322, p322):
+def test_deviation_over_a_stack_is_max_over_points(profile_322):
     xs = _random_unit_vectors(6, seed=43)
-    each = [L.general_vs_lomse_deviation(profile_322, p322, x) for x in xs]
-    assert L.general_vs_lomse_deviation(profile_322, p322, xs) == max(each)
+    each = [L.general_vs_lomse_deviation(profile_322, x) for x in xs]
+    assert L.general_vs_lomse_deviation(profile_322, xs) == max(each)
