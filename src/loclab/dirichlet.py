@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import geometry
 from .dynamics import EventKind, Orbit, Profile, Terminal, _check_params
-from .errors import NotConverged, WrongType
+from .errors import DomainTooShort, NotConverged, WrongType
 from .params import LomseParams, Stability
+from .roots import brentq
 
 PHI0_MATCH_TOL = 1e-9
 
@@ -67,7 +67,9 @@ def _find_crossings(orbit: Orbit, level: float, refine: int = 8) -> list[float]:
     direction of integration).  The grid of the kept steps is read in one
     interpolant call.  Each value read equals its value in a scan of every
     step, and no other step has a grid value on or across the level, so the
-    crossings equal those of a scan of every step.
+    crossings equal those of a scan of every step.  The grid and the polish
+    read ``orbit.interpolant``, whose first read imports scipy, because the
+    benchmark's tracer counts the reads of that object (ROADMAP item 1).
     """
     ts = orbit.t
     if len(ts) < 2:
@@ -136,6 +138,8 @@ def dirichlet_multiplicity(
     the fitted geometric decay rate.  The Lipschitz cone solution existing
     exactly at phi0 is flagged separately; it is not an orbit crossing.
     ``params`` must be the orbit's own triple (``ValueError`` otherwise).
+    A level strictly between 0 and the seed's phi is refused with
+    ``DomainTooShort``: its crossing lies below r_min, off the orbit.
     """
     _check_params(orbit, params)
     if not math.isfinite(phi_boundary):
@@ -144,6 +148,11 @@ def dirichlet_multiplicity(
         raise ValueError("phi_boundary must be nonnegative")
     if orbit.terminal is not Terminal.CONVERGED_TO_P1:
         raise NotConverged(f"orbit terminal is {orbit.terminal.value}")
+    if 0.0 < phi_boundary < orbit.phi[0]:
+        raise DomainTooShort(
+            f"phi_boundary {phi_boundary} is below the seed's phi {orbit.phi[0]}: its "
+            "crossing lies in the power-law piece below r_min, which the orbit does "
+            "not cover; seed the orbit closer to the origin (--seed-epsilon)")
 
     phi0 = params.phi0
     phi1, phi2 = _phi_extrema(orbit)

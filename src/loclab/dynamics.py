@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
-from scipy.integrate._ivp.rk import Dop853DenseOutput
-from scipy.optimize import brentq
 
+from . import dop853
 from .errors import (
     InsufficientEvents,
     NonFiniteState,
@@ -34,6 +33,7 @@ from .errors import (
     WrongCase,
 )
 from .params import LomseParams, Stability
+from .roots import brentq
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,29 @@ _EPS = float(np.finfo(float).eps)
 _REACH_MARGIN = 32 * _EPS
 
 
+class StepTable(NamedTuple):
+    """The DOP853 dense output of an orbit's solver steps, stacked: per step,
+    its start ``t_old``, its end ``t_new`` (past the orbit's last node when a
+    terminal event cut the step short), the state ``y_old`` at its start,
+    shape (N, 2), and the coefficients ``F``, shape (N, 7, 2).  On step i
+    the state is y_old + x (F0 + (1 - x)(F1 + x (F2 + ...))) with
+    x = (t - t_old) / h and h = t_new - t_old (Hairer-Norsett-Wanner I, II.6)."""
+
+    t_old: np.ndarray
+    t_new: np.ndarray
+    y_old: np.ndarray
+    F: np.ndarray
+
+
 @dataclass(frozen=True)
 class Orbit:
-    """An integrated orbit with its dense-output interpolant."""
+    """An integrated orbit: the solver nodes ``t`` with their states, the
+    events, why the integration stopped, and the step table ``steps`` between
+    the nodes, which ``read`` evaluates anywhere on [t[0], t[-1]].
+
+    ``interpolant`` is scipy's ``OdeSolution`` over the same steps.  It is
+    built the first time something reads it, and that first read imports
+    scipy; it reads the same values as ``read``, bit for bit."""
 
     t: np.ndarray
     phi: np.ndarray
@@ -129,31 +149,38 @@ class Orbit:
     terminal: Terminal
     params: LomseParams
     tolerances: Tolerances
-    interpolant: object = field(repr=False)
+    steps: StepTable = field(repr=False)
 
     @cached_property
-    def _dense_table(self) -> tuple[np.ndarray, ...]:
-        """The DOP853 dense output stacked once: segment edges ``ts`` and,
-        per step, ``t_old``, ``h``, ``y_old`` and the (7, 2) coefficients F."""
-        steps = self.interpolant.interpolants
-        return (self.interpolant.ts, *(np.array([getattr(s, name) for s in steps])
-                                       for name in ("t_old", "h", "y_old", "F")))
+    def interpolant(self):
+        """One ``Dop853DenseOutput`` per step, from the stored step ends, so
+        each step's h is the one the solver used."""
+        from scipy.integrate import OdeSolution
+        from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+        s = self.steps
+        return OdeSolution(self.t, [
+            Dop853DenseOutput(t_old, t_new, y_old, F)
+            for t_old, t_new, y_old, F in zip(s.t_old.tolist(), s.t_new.tolist(),
+                                              s.y_old, s.F)])
 
     def read(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(phi, psi) and their t-derivatives at a time or an array of times,
-        each of shape (2,) + t.shape, in one pass over the stacked table.  The
+        each of shape (2,) + t.shape, in one pass over the step table.  The
         segment rule is ``OdeSolution``'s for either direction of integration,
         and the values come from scipy's alternating x / (1 - x) Horner loop
         in its own order, so they equal ``interpolant(t)`` bit for bit; the
         product rule carries d/dx through the same loop (the step polynomial's
         derivative, not the field at the read state, which would make a
         residual vacuous)."""
-        ts, t_old, h, y_old, F = self._dense_table
+        ts, s = self.t, self.steps
         t = np.asarray(t, dtype=float)
         way = 1.0 if ts[-1] >= ts[0] else -1.0
         seg = np.clip(np.searchsorted(way * ts, way * t, side="left") - 1, 0, len(ts) - 2)
-        x = ((t - t_old[seg]) / h[seg])[..., None]
-        coef = F[seg]
+        t_old = s.t_old[seg]
+        h = (s.t_new[seg] - t_old)[..., None]
+        x = (t - t_old)[..., None] / h
+        coef = s.F[seg]
         y = np.zeros(t.shape + (2,))
         dy = np.zeros(t.shape + (2,))
         for i in range(7):
@@ -161,8 +188,8 @@ class Orbit:
             m, dm = (x, 1.0) if i % 2 == 0 else (1 - x, -1.0)
             dy = dy * m + dm * y
             y *= m
-        y += y_old[seg]
-        return np.moveaxis(y, -1, 0), np.moveaxis(dy / h[seg][..., None], -1, 0)
+        y += s.y_old[seg]
+        return np.moveaxis(y, -1, 0), np.moveaxis(dy / h, -1, 0)
 
     def steps_reaching_phi(self, level: float) -> np.ndarray:
         """Per solver step, False only if no read of phi on the step can equal
@@ -171,8 +198,8 @@ class Orbit:
         within reach_i = sum_j |F_j| of phi_old (Hairer-Norsett-Wanner I,
         II.6); a step is False when |phi_old - level| exceeds reach_i by more
         than ``_REACH_MARGIN`` of |phi_old| + reach_i + |level|."""
-        _, _, _, y_old, F = self._dense_table
-        phi_old, reach = y_old[:, 0], np.abs(F[:, :, 0]).sum(axis=1)
+        s = self.steps
+        phi_old, reach = s.y_old[:, 0], np.abs(s.F[:, :, 0]).sum(axis=1)
         return np.abs(phi_old - level) <= reach + _REACH_MARGIN * (
             np.abs(phi_old) + reach + abs(level))
 
@@ -180,11 +207,10 @@ class Orbit:
         return [e for e in self.events if e.kind is kind]
 
 
-# DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.5) as scipy runs it: the
-# tableau is scipy's, and so are the step-size control constants below.
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
-_STAGES = DOP853.n_stages
+# DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.5) as scipy runs it, with
+# scipy's tableau and step-size control constants (``dop853``)
+_EXPONENT = -1.0 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
+_STAGES = dop853.N_STAGES
 
 
 def _stage_plan(K, rows, first):
@@ -222,6 +248,25 @@ def _initial_step(t0, y, f, t_bound, direction, rtol, atol, params):
     return float(min(100 * h0, h1, interval))
 
 
+def _step_state(t_old, h, y_old, F):
+    """The state at time t on one step, as a function of t: scipy's
+    alternating x / (1 - x) Horner loop, with the same IEEE operations in the
+    same order on Python floats, so the values are ``Dop853DenseOutput``'s."""
+    rows = F.tolist()[::-1]
+    o0, o1 = y_old
+
+    def state(t):
+        x = (t - t_old) / h
+        y0 = y1 = 0.0
+        for i, (f0, f1) in enumerate(rows):
+            m = x if i % 2 == 0 else 1 - x
+            y0 = (y0 + f0) * m
+            y1 = (y1 + f1) * m
+        return y0 + o0, y1 + o1
+
+    return state
+
+
 def _dop853(params, t0, y, t_bound, rtol, atol, events):
     """Integrate X from state ``y`` at ``t0`` towards ``t_bound``, step for
     step as ``solve_ivp(method="DOP853", dense_output=True)`` does.
@@ -229,7 +274,7 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
     ``events`` holds ``(g(phi, psi), direction, terminal)`` triples; a sign
     change of g over a step is located by ``brentq`` on the step's dense
     output, and the first terminal root ends the run there.  Returns the
-    times, the (2, N) states, the ``OdeSolution``, the event times per event,
+    times, the (2, N) states, the ``StepTable``, the event times per event,
     the status (0 reached t_bound, 1 terminal event, -1 failed) and a message.
     """
     if rtol < 100 * _EPS:
@@ -240,16 +285,17 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
     if atol < 0:
         raise ValueError("`atol` must be positive.")
     direction = 1.0 if t_bound > t0 else -1.0
-    K = np.empty((_STAGES + 1 + len(DOP853.A_EXTRA), 2))
-    stages = _stage_plan(K, DOP853.A[1:], 1)
-    extra = _stage_plan(K, DOP853.A_EXTRA, _STAGES + 1)
-    E3, E5 = DOP853.E3, DOP853.E5
+    K = np.empty((_STAGES + 1 + len(dop853.A_EXTRA), 2))
+    stages = _stage_plan(K, dop853.A[1:], 1)
+    extra = _stage_plan(K, dop853.A_EXTRA, _STAGES + 1)
+    B, E3, E5, D = dop853.B, dop853.E3, dop853.E5, dop853.D
     kt_b, kt_e = K[:_STAGES].T, K[:_STAGES + 1].T
     y0, y1 = y
     f = vector_field(y0, y1, params)
     h_abs = _initial_step(t0, y, f, t_bound, direction, rtol, atol, params)
     t = t0
-    ts, ys, interpolants = [t0], [(y0, y1)], []
+    ts, ys = [t0], [(y0, y1)]
+    t_olds, t_news, y_olds, Fs = [], [], [], []  # the step table, one row per step
     g = [ev(y0, y1) for ev, _, _ in events]
     t_events = [[] for _ in events]
     status, message = None, None
@@ -259,7 +305,7 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
         rejected = False
         while True:
             if h_abs < min_step:
-                status, message = -1, DOP853.TOO_SMALL_STEP
+                status, message = -1, dop853.TOO_SMALL_STEP
                 break
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
@@ -268,7 +314,7 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
             h_abs = abs(h)
             K[0] = f
             _fill_stages(stages, y0, y1, h, params)
-            d0, d1 = np.dot(kt_b, DOP853.B).tolist()
+            d0, d1 = np.dot(kt_b, B).tolist()
             n0, n1 = y0 + h * d0, y1 + h * d1
             f_new = vector_field(n0, n1, params)
             K[_STAGES] = f_new
@@ -282,11 +328,11 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
             else:
                 err = abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 2)
             if err < 1:
-                factor = (_MAX_FACTOR if err == 0
-                          else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
+                factor = (dop853.MAX_FACTOR if err == 0
+                          else min(dop853.MAX_FACTOR, dop853.SAFETY * err ** _EXPONENT))
                 h_abs *= min(1, factor) if rejected else factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            h_abs *= max(dop853.MIN_FACTOR, dop853.SAFETY * err ** _EXPONENT)
             rejected = True
         if status == -1:
             break
@@ -297,18 +343,21 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
         # the dense output: 3 more stages and scipy's 7 x 2 coefficients F
         _fill_stages(extra, o0, o1, h, params)
         F = np.empty((7, 2))
-        F[3:] = h * np.dot(DOP853.D, K)
+        F[3:] = h * np.dot(D, K)
         dy0, dy1 = y0 - o0, y1 - o1
         F[:3] = ((dy0, dy1), (h * f_old[0] - dy0, h * f_old[1] - dy1),
                  (2 * dy0 - h * (f[0] + f_old[0]), 2 * dy1 - h * (f[1] + f_old[1])))
-        interpolants.append(Dop853DenseOutput(t_old, t, np.array((o0, o1)), F))
+        t_olds.append(t_old)
+        t_news.append(t)
+        y_olds.append((o0, o1))
+        Fs.append(F)
         # solve_ivp's event rule
         g_new = [ev(y0, y1) for ev, _, _ in events]
         active = [i for i, ((_, d, _), a, b) in enumerate(zip(events, g, g_new))
                   if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
         t_end, y_end = t, (y0, y1)
         if active:
-            step = interpolants[-1]
+            step = _step_state(t_old, h, (o0, o1), F)
             roots = [(brentq(lambda s, ev=events[i][0]: ev(*step(s)), t_old, t,
                              xtol=4 * _EPS, rtol=4 * _EPS), i) for i in active]
             if any(events[i][2] for _, i in roots):
@@ -322,12 +371,13 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
                 t_events[i].append(te)
         g = g_new
         if len(ts) > 1 and ts[-1] == t_end:
-            interpolants.pop()
+            for row in (t_olds, t_news, y_olds, Fs):
+                row.pop()
         else:
             ts.append(t_end)
             ys.append(y_end)
-    return (np.array(ts), np.array(ys).T, OdeSolution(ts, interpolants),
-            t_events, status, message)
+    steps = StepTable(np.array(t_olds), np.array(t_news), np.array(y_olds), np.array(Fs))
+    return np.array(ts), np.array(ys).T, steps, t_events, status, message
 
 
 def integrate_orbit(
@@ -341,8 +391,9 @@ def integrate_orbit(
 
     Uses the 8th-order adaptive Dormand-Prince scheme DOP853 with dense
     output (``_dop853``).  Events (psi = 0 crossings, phi = phi0 crossings)
-    are located by root-finding on the interpolant.  Convergence is declared
-    when the state enters the ball of radius ``conv_radius`` around (phi0, 0):
+    are located by root-finding on each step's dense output, and their points
+    are read with ``Orbit.read``.  Convergence is declared when the state
+    enters the ball of radius ``conv_radius`` around (phi0, 0):
     that equilibrium is a hyperbolic sink for every triple (tr B = -(n+1) < 0
     and det B = 2n(K-n)/K > 0 since K = k(k+n-1) > n), so entering the ball
     is the whole rule, for nodes and spirals alike.
@@ -363,7 +414,7 @@ def integrate_orbit(
         (lambda phi, psi: math.hypot(phi - phi0, psi) - conv, -1, True),
         (lambda phi, psi: max(abs(phi) / cap_phi, abs(psi) / cap_psi) - 1.0, 1, True),
     )
-    t, y, interpolant, t_events, status, message = _dop853(
+    t, y, steps, t_events, status, message = _dop853(
         params, float(seed.t), (float(seed.phi), float(seed.psi)),
         float(seed.t + t_max), tol.rel_tol, tol.abs_tol, event_fns)
     if status == -1:
@@ -373,15 +424,6 @@ def integrate_orbit(
     if not np.all(np.isfinite(y)):
         raise NonFiniteState("integration produced non-finite samples")
 
-    events: list[Event] = []
-    for kind, t_ev in ((EventKind.PSI_ZERO, t_events[0]),
-                       (EventKind.PHI_EQUALS_PHI0, t_events[1])):
-        for te in t_ev:
-            phi, psi = interpolant(te)
-            point = PhasePoint(float(phi), float(psi), float(te))
-            events.append(Event(kind, float(te), point))
-    events.sort(key=lambda e: e.t)
-
     if status == 1 and t_events[2]:
         terminal = Terminal.CONVERGED_TO_P1
     elif status == 1:
@@ -389,16 +431,16 @@ def integrate_orbit(
     else:
         terminal = Terminal.MAX_TIME_REACHED
 
-    return Orbit(
-        t=t,
-        phi=y[0],
-        psi=y[1],
-        events=events,
-        terminal=terminal,
-        params=params,
-        tolerances=tol,
-        interpolant=interpolant,
-    )
+    orbit = Orbit(t=t, phi=y[0], psi=y[1], events=[], terminal=terminal,
+                  params=params, tolerances=tol, steps=steps)
+    kinds = ([EventKind.PSI_ZERO] * len(t_events[0])
+             + [EventKind.PHI_EQUALS_PHI0] * len(t_events[1]))
+    t_ev = t_events[0] + t_events[1]
+    (phi, psi), _ = orbit.read(t_ev)
+    events = [Event(kind, te, PhasePoint(a, b, te))
+              for kind, te, a, b in zip(kinds, t_ev, phi.tolist(), psi.tolist())]
+    events.sort(key=lambda e: e.t)
+    return replace(orbit, events=events)
 
 
 def oscillation_record(orbit: Orbit) -> tuple[list[float], list[float]]:
@@ -484,7 +526,7 @@ def extract_profile(orbit: Orbit, params: LomseParams) -> Profile:
 
     ``params`` must be the orbit's own triple (``ValueError`` otherwise).
     The residual of the radial equation is evaluated at every interior
-    solver sample, with rho_rr taken from the differentiated interpolant.
+    solver sample, with rho_rr taken from the differentiated dense output.
     That is no independent check: at a node the differentiated dense output
     equals the field to about 1e-12 at any tolerance (ROADMAP item 5).
     """

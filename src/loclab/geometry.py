@@ -15,11 +15,19 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DomainTooShort
 from .params import LomseParams
+from .roots import brentq
+
+
+def quad(func, a, b, **kwargs):
+    """scipy's adaptive ``quad``, imported on the first call: importing
+    ``scipy.integrate`` is most of the start-up time of a command, and only
+    the density quadrature needs it."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
 
 
 def sphere_volume(n: int) -> float:
@@ -212,7 +220,9 @@ def graph_volume(profile, R: float, rel_tol: float = 1e-8) -> float:
 
 def density_at(profile, R: float, rel_tol: float = 1e-8) -> float:
     """Density at extrinsic radius R: Vol(M cap B(R)) / (ball_{n+1} R^{n+1});
-    ``ValueError`` unless R is finite and positive."""
+    ``ValueError`` unless R is finite and positive, and ``DomainTooShort``
+    when the ball reaches past the profile's last point (r_max, rho(r_max)),
+    where the part of M inside it is not known."""
     _check_radius(R)
     n = profile.params.n
 
@@ -220,10 +230,15 @@ def density_at(profile, R: float, rel_tol: float = 1e-8) -> float:
         rho = profile.values_at([r])[0][0]
         return r * r + rho * rho - R * R
 
-    if radius_excess(min(R, profile.r_max)) <= 0.0:
-        r_star = min(R, profile.r_max)
+    r_end = min(R, profile.r_max)
+    excess = radius_excess(r_end)
+    if excess < 0.0:  # only when R > r_max: at R itself the excess is rho^2
+        raise DomainTooShort(f"the ball of radius R={R} reaches past the profile's "
+                             f"range r_max={profile.r_max}")
+    if excess == 0.0:
+        r_star = r_end
     else:
-        r_star = brentq(radius_excess, 0.0, min(R, profile.r_max), xtol=1e-14 * R)
+        r_star = brentq(radius_excess, 0.0, r_end, xtol=1e-14 * R)
     vol = graph_volume(profile, r_star, rel_tol=rel_tol)
     return vol / (ball_volume(n + 1) * R ** (n + 1))
 

@@ -9,12 +9,18 @@ import numpy as np
 import pytest
 
 import loclab as L
-from loclab.dynamics import Tolerances
+from loclab.dynamics import StepTable, Tolerances
 
 # tight enough to resolve the fourth oscillation of the (3,2,4) spiral
 TIGHT = Tolerances(abs_tol=1e-13, rel_tol=1e-13, conv_radius=1e-11)
 # a backward run from the seed to t = -5 resolves phi down to about 1e-12
 BACKWARD = Tolerances(abs_tol=1e-16, rel_tol=1e-12)
+
+
+def step_table(sol) -> StepTable:
+    """The step table of an ``OdeSolution`` of ``Dop853DenseOutput`` steps."""
+    return StepTable(*(np.array([getattr(s, name) for s in sol.interpolants])
+                       for name in ("t_old", "t", "y_old", "F")))
 
 
 @pytest.fixture(scope="session")

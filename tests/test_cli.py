@@ -124,6 +124,14 @@ def test_dirichlet_at_phi0(tmp_path, capsys):
     assert len(doc["d_values"]) >= 3
 
 
+def test_dirichlet_below_the_seed_exits_1(capsys):
+    code = main(["dirichlet", "--n", "3", "--p", "2", "--k", "2",
+                 "--phi-boundary", "5e-9", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "DomainTooShort" in captured.err and "--seed-epsilon" in captured.err
+
+
 def test_dirichlet_requires_boundary(capsys):
     code, _ = run_cli(["dirichlet", "--n", "3", "--p", "2", "--k", "4"], capsys)
     assert code == 2

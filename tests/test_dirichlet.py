@@ -14,7 +14,7 @@ import loclab as L
 from loclab.dirichlet import MultiplicityKind, _find_crossings
 from loclab.dynamics import Orbit, Terminal
 
-from conftest import SWEEP, TIGHT
+from conftest import SWEEP, TIGHT, step_table
 
 
 def test_type1_unique_solution(orbit_322, p322):
@@ -29,6 +29,23 @@ def test_type1_unique_solution(orbit_322, p322):
 def test_nonfinite_boundary_rejected(orbit_322, p322, value):
     with pytest.raises(ValueError, match="finite"):
         L.dirichlet_multiplicity(orbit_322, p322, value)
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 2), (3, 2, 4)])
+def test_a_level_below_the_seed_is_refused(triple):
+    # the crossing of a level under the seed's phi lies in the power-law piece
+    # below r_min, which the orbit does not cover
+    p = L.validate_params(*triple)
+    orbit = L.integrate_orbit(p, L.seed_unstable(p, 1e-8))
+    seed_phi = float(orbit.phi[0])
+    for level in (5e-9, math.nextafter(seed_phi, 0.0)):
+        with pytest.raises(L.DomainTooShort, match="seed-epsilon"):
+            L.dirichlet_multiplicity(orbit, p, level)
+    # on and above the edge, and at 0, the counts stay as they were
+    at_seed = L.dirichlet_multiplicity(orbit, p, seed_phi)
+    assert str(at_seed.multiplicity) == "Finite(1)" and at_seed.crossing_ts == [0.0]
+    assert str(L.dirichlet_multiplicity(orbit, p, 2e-8).multiplicity) == "Finite(1)"
+    assert str(L.dirichlet_multiplicity(orbit, p, 0.0).multiplicity) == "Finite(0)"
 
 
 def test_type1_above_max(orbit_322, p322):
@@ -231,9 +248,12 @@ def _synthetic_orbit(ts, phi_olds, Fs, params, alt_segment=False):
     ts = np.array(ts, dtype=float)
     sol = OdeSolution(ts, steps, alt_segment=alt_segment)
     phi = sol(ts)[0]
-    return Orbit(t=ts, phi=phi, psi=np.zeros_like(phi), events=[],
-                 terminal=Terminal.CONVERGED_TO_P1, params=params,
-                 tolerances=L.Tolerances(), interpolant=sol)
+    orbit = Orbit(t=ts, phi=phi, psi=np.zeros_like(phi), events=[],
+                  terminal=Terminal.CONVERGED_TO_P1, params=params,
+                  tolerances=L.Tolerances(), steps=step_table(sol))
+    if alt_segment:  # the cached interpolant, with the other tie rule
+        orbit.__dict__["interpolant"] = sol
+    return orbit
 
 
 def _coeffs(*head):

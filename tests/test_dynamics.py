@@ -11,8 +11,8 @@ from scipy.integrate import solve_ivp
 
 import loclab as L
 from loclab import dynamics
-from loclab.dynamics import Event, EventKind, Orbit, Terminal, Tolerances
-from conftest import SWEEP, TIGHT
+from loclab.dynamics import Event, EventKind, Orbit, StepTable, Terminal, Tolerances
+from conftest import SWEEP, TIGHT, step_table
 
 FINITE = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -324,7 +324,7 @@ def _solve_ivp_orbit(params, seed, t_max=200.0, tol=Tolerances()):
     else:
         terminal = Terminal.MAX_TIME_REACHED
     orbit = Orbit(t=sol.t, phi=sol.y[0], psi=sol.y[1], events=events, terminal=terminal,
-                  params=params, tolerances=tol, interpolant=sol.sol)
+                  params=params, tolerances=tol, steps=step_table(sol.sol))
     return orbit, sol.nfev
 
 
@@ -351,6 +351,7 @@ def _assert_same_orbit(orbit, ref):
         assert np.array_equal(orbit.interpolant(ts), ref.interpolant(ts))
     assert np.array_equal([s.F for s in orbit.interpolant.interpolants],
                           [s.F for s in ref.interpolant.interpolants])
+    assert all(np.array_equal(a, b) for a, b in zip(orbit.steps, ref.steps))
 
 
 @pytest.mark.parametrize("npk, seed, t_max, tol", _LOOP_CASES, ids=_LOOP_IDS)
@@ -418,13 +419,28 @@ def _dop853_and_reference(params, y0, t_max, tol, event_fns):
     ref = solve_ivp(lambda t, y: dynamics.vector_field(*y.tolist(), params),
                     (0.0, t_max), list(y0), method="DOP853", dense_output=True,
                     rtol=tol.rel_tol, atol=tol.abs_tol, events=wrapped)
-    t, y, interpolant, t_events, status, _ = got
+    t, y, steps, t_events, status, _ = got
     assert np.array_equal(t, ref.t) and np.array_equal(y, ref.y)
-    assert np.array_equal(interpolant(ref.t), ref.sol(ref.t))
-    assert len(interpolant.interpolants) == len(ref.sol.interpolants)
+    assert all(np.array_equal(a, b) for a, b in zip(steps, step_table(ref.sol)))
     assert [list(te) for te in ref.t_events] == t_events
     assert status == ref.status
     return got
+
+
+def test_interpolant_steps_end_at_the_stored_step_ends(p322):
+    # -0.1 + (0.3 - -0.1) is 0.30000000000000004: a step rebuilt as t_old + h
+    # would end past its stored end, and its h would not be the solver's
+    t_old, t_new = -0.1, 0.3
+    assert t_old + (t_new - t_old) != t_new
+    steps = StepTable(np.array([t_old]), np.array([t_new]), np.array([[0.5, 0.0]]),
+                      np.arange(14.0).reshape(1, 7, 2) / 7)
+    orbit = Orbit(t=np.array([t_old, t_new]), phi=np.array([0.5, 0.7]),
+                  psi=np.zeros(2), events=[], terminal=Terminal.MAX_TIME_REACHED,
+                  params=p322, tolerances=Tolerances(), steps=steps)
+    (step,) = orbit.interpolant.interpolants
+    assert (step.t_old, step.t, step.h) == (t_old, t_new, t_new - t_old)
+    grid = np.linspace(t_old, t_new, 9)
+    assert np.array_equal(orbit.read(grid)[0], orbit.interpolant(grid))
 
 
 def test_dop853_drops_the_step_whose_terminal_root_is_its_start():

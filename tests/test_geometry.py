@@ -221,6 +221,20 @@ def test_graph_volume_of_an_empty_slab_is_zero(profile_324, R):
     assert L.graph_volume(profile_324, R) == 0.0
 
 
+def test_density_at_refuses_a_ball_past_the_profile(p324):
+    # the profile ends at (r_max, rho(r_max)); a larger ball would take a
+    # slab clamped at r_max for the whole of M inside it
+    orbit = L.integrate_orbit(p324, L.seed_unstable(p324),
+                              tolerances=L.Tolerances(conv_radius=1e-3))
+    prof = L.extract_profile(orbit, p324)
+    reach = math.hypot(prof.r_max, prof.values_at([prof.r_max])[0][0])
+    for factor in (2.0, 10.0):
+        with pytest.raises(L.DomainTooShort, match="reaches past"):
+            L.density_at(prof, factor * reach)
+    inside = L.density_at(prof, 0.99 * reach)
+    assert math.isclose(inside, L.cone_density(p324), rel_tol=1e-4)
+
+
 def test_cone_density_at_matches_formula(p322, cone_profile_322):
     got = L.density_at(cone_profile_322, 2.0)
     assert math.isclose(got, L.cone_density(p322), rel_tol=1e-8)
