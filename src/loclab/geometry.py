@@ -9,6 +9,7 @@ appear in the source material under the same symbol; they are kept apart here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -131,24 +132,30 @@ def _volume_weight(profile, r: np.ndarray) -> np.ndarray:
             * (r * r + params.lambda2_float * rho * rho) ** (p / 2) * r ** (n - p))
 
 
+@functools.cache
 def _unit_gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on [0, 1] and weights summing to 1."""
+    """Gauss-Legendre nodes on [0, 1] and weights summing to 1, built on
+    first use: ``numpy.polynomial`` is not loaded until a density needs it.
+    Every caller shares the cached arrays, so they are read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
-_GL_LOW, _GL_HIGH = _unit_gauss_legendre(8), _unit_gauss_legendre(12)
 _MAX_BISECTIONS = 20
 
 
 def _panel_sums(profile, a: np.ndarray, b: np.ndarray):
     """The 8- and 12-point Gauss-Legendre sums of the volume integrand in
     t = log r, w(r) r dt, over the panels [a_i, b_i], with one profile read."""
+    (x_low, w_low), (x_high, w_high) = _unit_gauss_legendre(8), _unit_gauss_legendre(12)
     width = (b - a)[:, None]
-    t = a[:, None] + width * np.concatenate([_GL_LOW[0], _GL_HIGH[0]])
+    t = a[:, None] + width * np.concatenate([x_low, x_high])
     r = np.exp(t)
     f = _volume_weight(profile, r.ravel()).reshape(r.shape) * r * width
-    return f[:, :8] @ _GL_LOW[1], f[:, 8:] @ _GL_HIGH[1]
+    return f[:, :8] @ w_low, f[:, 8:] @ w_high
 
 
 def _graph_volumes(profile, radii: np.ndarray, rel_tol: float) -> np.ndarray:

@@ -29,8 +29,10 @@ def _check_unit(x) -> np.ndarray:
     if x.ndim == 0 or x.shape[-1] != 4:
         raise NotOnSphere(f"expected 4-vectors, got shape {x.shape}")
     norms = np.linalg.norm(x, axis=-1)
-    if not np.all(np.abs(norms - 1.0) <= SPHERE_TOL):  # also refuses NaN
-        raise NotOnSphere(f"|x| = {norms!r} is not 1 within {SPHERE_TOL}")
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= SPHERE_TOL))  # also refuses NaN
+    if off.size:  # name the first point off the sphere, and its row in a stack
+        at = f"row {off[0]} of {norms.size}: " if norms.ndim else ""
+        raise NotOnSphere(f"{at}|x| = {float(norms.flat[off[0]])} is not 1 within {SPHERE_TOL}")
     return x
 
 
@@ -104,45 +106,35 @@ def los_condition_b(x, theta: float):
     return _float_or_array(_los_residual(singular_value_sample(x).singular_values, theta))
 
 
-def los_angle_root(x, tol: float = 1e-10):
-    """Unique root of the LOS condition in (0, pi/2), by bisection on the
-    singular values computed once.
-
-    ``x`` may be a stack of points (N, 4): one batched SVD, then every
-    bisection moves forward together and a row stops, on a mask, at exactly
-    the step where its own one-point loop would stop, so each root is the
-    same float.  A row also stops when its midpoint rounds onto an end of
-    the bracket, so the loop ends even for a ``tol`` below the spacing of
-    the doubles near the root.  One point gives a float, a stack an array
-    of N roots.
-    """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    sv = singular_value_sample(x).singular_values
-    # at theta -> 0+ the residual vanishes quadratically and underflows;
-    # start the bracket where the sign is still representable
-    lo = np.full(sv.shape[:-1], 1e-3)
-    hi = np.full(sv.shape[:-1], math.pi / 2 - 1e-6)
-    # lo only moves to a midpoint of its own sign, so that sign is fixed
-    lo_positive = _los_residual(sv, lo) > 0
-    mid = 0.5 * (lo + hi)
-    active = (hi - lo > tol) & (lo < mid) & (mid < hi)
-    while active.any():
-        same = (_los_residual(sv, mid) > 0) == lo_positive
-        lo = np.where(active & same, mid, lo)
-        hi = np.where(active & ~same, mid, hi)
-        mid = 0.5 * (lo + hi)
-        active &= (hi - lo > tol) & (lo < mid) & (mid < hi)
-    return _float_or_array(mid)
+def _los_root(sv: np.ndarray) -> np.ndarray:
+    """The LOS angle root in (0, pi/2) of each row of singular values ``sv``
+    (..., 3) in closed form, NaN for a row without a unique root.  For u =
+    tan^2 t and e1, e2, e3 the elementary symmetric functions of l_j = sv_j^2
+    the condition is u Q(u) = 0, Q(u) = (e2 - 3 e3) u^2 + 2 (e1 - e2) u + 3 - e1.
+    If 3 - e1 < 0 < e2 - 3 e3 (sum l_j > 3 and sum 1/l_j > 3), Q has one positive
+    root, taken by the quadratic formula in its form without cancellation."""
+    l1, l2, l3 = np.moveaxis(np.asarray(sv, dtype=float) ** 2, -1, 0)
+    e1, e2, e3 = l1 + l2 + l3, l1 * l2 + l1 * l3 + l2 * l3, l1 * l2 * l3
+    a, b, c = e2 - 3.0 * e3, 2.0 * (e1 - e2), 3.0 - e1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d = np.sqrt(b * b - 4.0 * a * c)
+        u = np.where(b < 0.0, (d - b) / (2.0 * a), -2.0 * c / (b + d))
+        return np.where((c < 0.0) & (a > 0.0), np.arctan(np.sqrt(u)), np.nan)
 
 
-def _general_residuals(profile: Profile, x, n_radii: int):
-    """The profile at ``n_radii`` log-spaced radii, read once, and the general
-    equation's residual there: a row per point of ``x``, a column per radius."""
+def los_angle_root(x):
+    """Unique root of the LOS condition in (0, pi/2) by ``_los_root``, else NaN:
+    a float for one point, an array for a stack (N, 4) from one batched SVD."""
+    return _float_or_array(_los_root(singular_value_sample(x).singular_values))
+
+
+def _general_residuals(profile: Profile, sv: np.ndarray, n_radii: int):
+    """The profile at ``n_radii`` log-spaced radii, read once, and the general equation's
+    residual there: a row per row of singular values ``sv``, a column per radius."""
     radii = np.geomspace(profile.r_min, profile.r_max, n_radii)
     values = profile.values_at(radii)
-    sv2 = singular_value_sample(np.atleast_2d(x)).singular_values ** 2
-    gen = radial_residual(*values, radii, [(l2[:, None], 1) for l2 in sv2.T])
+    spectrum = [(l2[:, None], 1) for l2 in np.atleast_2d(sv).T ** 2]
+    gen = radial_residual(*values, radii, spectrum)
     return gen, values, radii
 
 
@@ -150,18 +142,24 @@ def general_ode_residual(profile: Profile, x, n_radii: int = 20) -> float:
     """Max absolute residual of the general minimality equation along the
     profile, with singular values sampled pointwise at x instead of taken
     from the closed form."""
-    gen, _, _ = _general_residuals(profile, x, n_radii)
+    gen, _, _ = _general_residuals(profile, singular_value_sample(x).singular_values, n_radii)
     return float(np.max(np.abs(gen)))
 
 
+def _reduced_gap(profile: Profile, sv: np.ndarray, n_radii: int) -> float:
+    """Max of r |gen - red| / (|phi| + |psi|), phi = rho/r and psi = rho_r - phi,
+    over the general equation at singular values ``sv`` and the reduced one:
+    every term of both is of size (|phi| + |psi|)/r, so the gap is scale-free."""
+    gen, (rho, rho_r, rho_rr), radii = _general_residuals(profile, sv, n_radii)
+    red = ode1_residual(rho, rho_r, rho_rr, radii, profile.params)
+    phi = rho / radii
+    return float(np.max(radii * np.abs(gen - red) / (np.abs(phi) + np.abs(rho_r - phi))))
+
+
 def general_vs_lomse_deviation(profile: Profile, x, n_radii: int = 20) -> float:
-    """Max pointwise gap between the general equation (sampled singular
-    values) and the reduced one (constant lambda); zero when the singular
-    values are genuinely constant.  ``x`` is one 4-vector or a stack of them;
-    the profile is read once for all of them."""
-    gen, values, radii = _general_residuals(profile, x, n_radii)
-    red = ode1_residual(*values, radii, profile.params)
-    return float(np.max(np.abs(gen - red)))
+    """Scale-free gap (``_reduced_gap``) between the general equation, with singular
+    values sampled at ``x`` (a 4-vector or a stack), and the reduced one."""
+    return _reduced_gap(profile, singular_value_sample(x).singular_values, n_radii)
 
 
 def ode4_residual(rho, rho_r, rho_rr, r, m: int = 2):
@@ -205,10 +203,11 @@ def hopf_verify_report(
     seed: int = 0,
 ) -> dict:
     """Full verification report: per-check name, max deviation, tolerance,
-    pass flag.  The profile-dependent equation check runs whenever a profile
-    is supplied.  The Hopf map is of (3,2,2)-type, so a profile or params of
-    another triple raise ``WrongCase``: its singular values (2,2,0) are not
-    that triple's, and the comparison would prove nothing."""
+    pass flag, from one batched SVD of the sample.  The profile-dependent
+    equation check runs whenever a profile is supplied.  The Hopf map is of
+    (3,2,2)-type, so a profile or params of another triple raise
+    ``WrongCase``: its singular values (2,2,0) are not that triple's, and the
+    comparison would prove nothing."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     for name, p in (("params", params), ("profile.params", getattr(profile, "params", None))):
@@ -230,8 +229,8 @@ def hopf_verify_report(
     theta_star = math.acos(2.0 / 3.0)
     cond_dev = np.max(np.abs(_los_residual(s.singular_values[:100], theta_star)))
     add("LOS condition at arccos(2/3)", cond_dev, 1e-9)
-    root_dev = np.max(np.abs(los_angle_root(xs[:10]) - theta_star))
-    add("unique LOS angle root by bisection", root_dev, 1e-9)
+    root_dev = np.max(np.abs(_los_root(s.singular_values[:10]) - theta_star))
+    add("unique LOS angle root", root_dev, 1e-9)
 
     hd = harmonic_degree_check()
     add("harmonic degree-2 components", 0.0 if hd["pass"] else 1.0, 0.5)
@@ -244,7 +243,7 @@ def hopf_verify_report(
     add("Hopf-symmetric vs reduced equation", ode4_dev, 1e-12)
 
     if profile is not None:
-        gap = general_vs_lomse_deviation(profile, xs[:20])
+        gap = _reduced_gap(profile, s.singular_values[:20], 20)
         add("general vs reduced equation on profile", gap, 1e-8)
 
     return {"checks": checks, "pass": all(c["pass"] for c in checks)}

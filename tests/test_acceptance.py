@@ -159,7 +159,7 @@ def test_criterion_09_hopf(profile_322, p322):
     ok = sv_dev < 1e-9
     theta_star = math.acos(2 / 3)
     ok &= max(abs(L.los_condition_b(x, theta_star)) for x in xs[:100]) < 1e-9
-    ok &= abs(L.los_angle_root(xs[0], tol=1e-10) - theta_star) < 1e-9
+    ok &= abs(L.los_angle_root(xs[0]) - theta_star) < 1e-9
     ok &= max(
         L.general_vs_lomse_deviation(profile_322, x) for x in xs[:20]
     ) < 1e-8

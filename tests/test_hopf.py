@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import loclab as L
 from loclab import hopf
@@ -55,6 +54,17 @@ def test_not_on_sphere():
         L.hopf_map([1.0, 1.0, 0.0, 0.0])
     with pytest.raises(L.NotOnSphere):
         L.singular_value_sample([0.5, 0.0, 0.0, 0.0])
+
+
+def test_not_on_sphere_names_the_first_row_off_it():
+    xs = _random_unit_vectors(1000, seed=53)
+    xs[[417, 600]] *= [[2.0], [math.nan]]
+    with pytest.raises(L.NotOnSphere) as err:
+        L.singular_value_sample(xs)
+    assert str(err.value) == "row 417 of 1000: |x| = 2.0 is not 1 within 1e-09"
+    with pytest.raises(L.NotOnSphere) as err:
+        L.hopf_map([0.5, 0.0, 0.0, 0.0])
+    assert str(err.value) == "|x| = 0.5 is not 1 within 1e-09"
 
 
 _EVERY_ENTRY = (L.hopf_map, L.singular_value_sample,
@@ -105,7 +115,7 @@ def test_los_condition():
 def test_los_root_unique():
     theta_star = math.acos(2 / 3)
     for x in _random_unit_vectors(5, seed=17):
-        root = L.los_angle_root(x, tol=1e-10)
+        root = L.los_angle_root(x)
         assert abs(root - theta_star) < 1e-9
     # sign structure: negative below the root, positive above
     x = _random_unit_vectors(1, seed=19)[0]
@@ -124,7 +134,7 @@ def test_los_condition_of_a_stack_is_the_per_point_calls():
 
 
 def _one_point_root(sv, tol):
-    """The one-point bisection on Python floats, the reference for the batch."""
+    """A one-point bisection on Python floats, the reference for the closed form."""
     def residual(theta):
         c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
         return sum(1.0 / (c2 + s2 * lam**2) for lam in sv) - 3.0
@@ -151,69 +161,69 @@ def test_los_angle_root_of_a_stack_is_the_per_point_roots():
         points = [L.los_angle_root(x) for x in xs]
         assert all(isinstance(r, float) for r in points)
         assert roots.tolist() == points
-        sv = L.singular_value_sample(xs).singular_values
-        assert points == [_one_point_root(row.tolist(), 1e-10) for row in sv]
 
 
-# three rows with Sum l^2 > 3 and Sum 1/l^2 > 3, whose roots lie apart
+def test_los_angle_root_takes_no_tol():
+    x = _random_unit_vectors(1, seed=47)[0]
+    with pytest.raises(TypeError):
+        L.los_angle_root(x, tol=1e-10)
+
+
+# three rows with Sum sv^2 > 3 and Sum 1/sv^2 > 3, whose roots lie apart
 # (1.007, 0.723 and 0.841); the Hopf map's own rows all have the same root
 _DIVERGING_SV = [[2.0, 1.5, 0.5], [3.0, 1.0, 0.0], [2.0, 2.0, 0.0]]
 
 
-def test_los_angle_root_rows_that_diverge(monkeypatch):
-    # near the spacing of the doubles the brackets round to different widths,
-    # so at a tolerance of a few ulps the rows stop after different numbers
-    # of steps: each must stop on its own
-    sv = np.array(_DIVERGING_SV)
-    monkeypatch.setattr(hopf, "singular_value_sample",
-                        lambda x: SimpleNamespace(singular_values=sv))
-    xs = _random_unit_vectors(3, seed=43)
-    for tol in (1e-4, 1e-10, 1.4e-15, 7e-16, 4e-16):
-        roots = L.los_angle_root(xs, tol=tol)
-        assert roots.tolist() == [_one_point_root(row, tol) for row in _DIVERGING_SV]
+def test_closed_form_root_is_the_bisection_root():
+    roots = hopf._los_root(np.array(_DIVERGING_SV))
+    for root, row in zip(roots, _DIVERGING_SV):
+        assert abs(root - _one_point_root(row, 1e-15)) <= 1e-14
+    xs = _random_unit_vectors(200, seed=59)
+    roots = L.los_angle_root(xs)
+    sv = L.singular_value_sample(xs).singular_values
+    worst = max(abs(root - _one_point_root(row.tolist(), 1e-15))
+                for root, row in zip(roots, sv))
+    assert worst <= 1e-14
+    assert np.max(np.abs(roots - math.acos(2 / 3))) <= 2.3e-16
 
 
-_HANG_PROBE = """
-import json, math, sys
-from types import SimpleNamespace
-import numpy as np
-import loclab as L
-from loclab import hopf
-from loclab.hopf import _random_unit_vectors
-
-xs = _random_unit_vectors(10, seed=47)
-refused = []
-for tol in (0.0, -1e-10, math.nan, math.inf):
-    try:
-        L.los_angle_root(xs[0], tol=tol)
-    except ValueError:
-        refused.append(True)
-    else:
-        refused.append(False)
-roots = [L.los_angle_root(xs[0], tol=tol) for tol in (1e-16, 5e-324)]
-roots += L.los_angle_root(xs, tol=1e-16).tolist()
-sv = np.array(json.loads(sys.argv[1]))
-hopf.singular_value_sample = lambda x: SimpleNamespace(singular_values=sv)
-diverging = [L.los_angle_root(xs[:3], tol=tol).tolist() for tol in json.loads(sys.argv[2])]
-print(json.dumps({"refused": refused, "roots": roots, "diverging": diverging}))
-"""
+_SV = st.floats(0.0, 10.0)
 
 
-def test_los_angle_root_ends_below_the_spacing_of_doubles():
-    # once lo and hi are adjacent doubles the midpoint rounds onto one of
-    # them; a regression here loops for ever, so it runs in a child with a
-    # timeout
-    tols = [1.5e-16, 1e-16, 5e-324]
-    env = {**os.environ, "PYTHONPATH": str(Path(L.__file__).parents[1])}
-    out = subprocess.run(
-        [sys.executable, "-c", _HANG_PROBE, json.dumps(_DIVERGING_SV), json.dumps(tols)],
-        env=env, check=True, capture_output=True, text=True, timeout=60)
-    rep = json.loads(out.stdout)
-    assert rep["refused"] == [True, True, True, True]
-    assert len(rep["roots"]) == 12
-    assert all(abs(r - math.acos(2 / 3)) < 1e-9 for r in rep["roots"])
-    assert rep["diverging"] == [[_one_point_root(row, tol) for row in _DIVERGING_SV]
-                                for tol in tols]
+@settings(max_examples=300, deadline=None)
+@given(sv=st.tuples(_SV, _SV, _SV))
+def test_closed_form_root_solves_the_condition(sv):
+    l1, l2, l3 = (s * s for s in sv)
+    assume(l1 + l2 + l3 > 3.0 and l1 * l2 + l1 * l3 + l2 * l3 > 3.0 * l1 * l2 * l3)
+    root = hopf._los_root(np.array(sv))
+    assert 0.0 < root < math.pi / 2
+    assert abs(hopf._los_residual(np.array(sv), root)) <= 1e-12
+
+
+def test_rows_without_a_unique_root_give_nan():
+    # (1,1,1) solves the condition at every angle; (1,1,0.5) has Sum sv^2 < 3,
+    # so Q has two roots of one sign or none.  The next two rows sit on the
+    # edges of the condition: their squares, in floats, give Q no constant
+    # term (the root u = 0, theta = 0) and no square term (u = -1/4)
+    rows = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.5], [1.2, 1.2489995996796797, 0.0],
+                     [2.0, 2.0, 0.6324555320336759], [math.nan, 2.0, 0.0], [2.0, 2.0, 0.0]])
+    roots = hopf._los_root(rows)
+    assert np.isnan(roots[:5]).all() and abs(roots[5] - math.acos(2 / 3)) <= 2.3e-16
+
+
+@pytest.mark.parametrize("row", [[1.0, 1.0, 1.0], [3.0, 1.0, 0.0]], ids=["no-root", "other-root"])
+def test_report_fails_the_root_check_off_the_hopf_values(monkeypatch, row):
+    sample = L.singular_value_sample
+
+    def shifted(x):
+        s = sample(x)
+        sv = np.broadcast_to(row, s.singular_values.shape)
+        return hopf.SphereSample(s.x, s.fx, s.jacobian, sv)
+
+    monkeypatch.setattr(hopf, "singular_value_sample", shifted)
+    rep = L.hopf_verify_report(n_samples=50)
+    root = next(c for c in rep["checks"] if c["name"] == "unique LOS angle root")
+    assert root["pass"] is False and rep["pass"] is False
 
 
 def test_harmonic_degree():
@@ -251,9 +261,24 @@ def test_import_loads_no_sympy():
     )
 
 
+@pytest.fixture(scope="module")
+def profile_542():
+    p542 = L.validate_params(5, 4, 2)
+    return L.extract_profile(L.integrate_orbit(p542, L.seed_unstable(p542)), p542)
+
+
 def test_general_vs_reduced_on_profile(profile_322):
     for x in _random_unit_vectors(20, seed=23):
         assert L.general_vs_lomse_deviation(profile_322, x) < 1e-8
+    assert L.general_vs_lomse_deviation(profile_322, _random_unit_vectors(20, 0)) < 1e-13
+
+
+def test_general_vs_reduced_is_scale_free(profile_542):
+    # the (5,4,2) profile solves its own equation, with lambda^2 = 3, not the
+    # one of the Hopf values (2,2,0); in absolute form the gap was only 3.2e-9,
+    # because the radii reach r_max ~ 4e15 where every term is tiny
+    gap = L.general_vs_lomse_deviation(profile_542, _random_unit_vectors(20, 0))
+    assert gap > 0.1
 
 
 def test_general_residual_on_cone(cone_profile_322, p322):
@@ -278,6 +303,7 @@ def test_full_report(profile_322, p322):
     assert rep["pass"], [c for c in rep["checks"] if not c["pass"]]
     names = {c["name"] for c in rep["checks"]}
     assert "singular values (2,2,0)" in names
+    assert "unique LOS angle root" in names
     assert "general vs reduced equation on profile" in names
 
 
@@ -295,9 +321,8 @@ def test_report_refuses_a_bad_sample_count():
             L.hopf_verify_report(n_samples=n)
 
 
-def test_report_refuses_a_triple_other_than_322(profile_322, p322):
-    p542 = L.validate_params(5, 4, 2)
-    profile_542 = L.extract_profile(L.integrate_orbit(p542, L.seed_unstable(p542)), p542)
+def test_report_refuses_a_triple_other_than_322(profile_322, p322, profile_542):
+    p542 = profile_542.params
     for profile, params in ((profile_542, p542), (profile_322, p542),
                             (profile_542, p322), (None, p542), (profile_542, None)):
         with pytest.raises(L.WrongCase, match=r"\(5,4,2\)"):

@@ -6,7 +6,9 @@ use.  The one command that does load it is ``dirichlet`` at a level (any
 ``--phi-boundary`` but ``at-phi0`` on a spiral): its crossing scan and polish
 read ``Orbit.interpolant``, scipy's ``OdeSolution``, which the benchmark's
 tracer counts (ROADMAP item 1).  The density verdict loads it too, through
-``geometry.quad``, but no command runs that.
+``geometry.quad``, but no command runs that.  Nor does ``import loclab`` load
+``numpy.polynomial``: the densities build their Gauss-Legendre nodes on
+first use.
 
 Each case runs in a fresh interpreter, because this test process has loaded
 scipy long before.
@@ -27,7 +29,8 @@ _PROBE = """
 import contextlib, io, json, sys
 {body}
 print(json.dumps({{"code": code, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}}))
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "numpy.polynomial": "numpy.polynomial" in sys.modules}}))
 """
 
 
@@ -43,6 +46,10 @@ def _run(body: str) -> dict:
 
 def test_import_loclab_loads_no_scipy():
     assert _run("import loclab\ncode = 0")["scipy"] == []
+
+
+def test_import_loclab_loads_no_numpy_polynomial():
+    assert _run("import loclab\ncode = 0")["numpy.polynomial"] is False
 
 
 _TRIPLE = ["--n", "3", "--p", "2", "--k", "4"]  # a spiral (TypeII)
