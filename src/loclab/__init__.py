@@ -6,7 +6,6 @@ from .dirichlet import (
     Multiplicity,
     MultiplicityKind,
     dirichlet_multiplicity,
-    epsilon_window,
     nonminimizing_verdict,
 )
 from .dynamics import (
@@ -51,10 +50,8 @@ from .geometry import (
     GeometryReport,
     Verdict,
     cone_density,
-    density_at,
     density_report,
     geometry_report,
-    graph_volume,
     jordan_angles,
     los_volume_ratio,
     normal_angle_cos,

@@ -188,18 +188,6 @@ def dirichlet_multiplicity(
     )
 
 
-def epsilon_window(orbit: Orbit) -> float:
-    """Width phi1 - phi0 of the amplitude window above the cone slope for
-    which the spiral guarantees solvability."""
-    params = orbit.params
-    if params.stability is not Stability.TYPE_II:
-        raise WrongType(f"{params} is TypeI; the window is a spiral feature")
-    if orbit.terminal is not Terminal.CONVERGED_TO_P1:
-        raise NotConverged(f"orbit terminal is {orbit.terminal.value}")
-    phi1, _ = _phi_extrema(orbit)
-    return phi1 - params.phi0
-
-
 def nonminimizing_verdict(
     profile: Profile, orbit: Orbit, params: LomseParams, rel_tol: float = 1e-8
 ) -> geometry.DensityReport:

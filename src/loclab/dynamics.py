@@ -528,7 +528,7 @@ def extract_profile(orbit: Orbit, params: LomseParams) -> Profile:
     The residual of the radial equation is evaluated at every interior
     solver sample, with rho_rr taken from the differentiated dense output.
     That is no independent check: at a node the differentiated dense output
-    equals the field to about 1e-12 at any tolerance (ROADMAP item 5).
+    equals the field to about 1e-12 at any tolerance (ROADMAP item 6).
     """
     _check_params(orbit, params)
     if orbit.terminal is not Terminal.CONVERGED_TO_P1:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import DomainTooShort
 from .params import LomseParams
-from .roots import brentq
 
 
 def quad(func, a, b, **kwargs):
@@ -159,8 +158,8 @@ def _panel_sums(profile, a: np.ndarray, b: np.ndarray):
 
 
 def _graph_volumes(profile, radii: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Integral of the volume integrand over (0, R] for each R in the sorted,
-    positive array ``radii``, without the omega_n factor.
+    """Integral of the volume integrand over (0, d] for each d in the sorted,
+    positive, non-empty array ``radii``, without the omega_n factor.
 
     ``quad`` takes the piece below r_lo, the seed radius r_min or the
     smallest radius if that is less (1e-12 of the smallest radius for a
@@ -172,10 +171,8 @@ def _graph_volumes(profile, radii: np.ndarray, rel_tol: float) -> np.ndarray:
     are bisected and read again, at most 20 times.  One cumulative sum of
     the 12-point values gives every radius.
     """
-    if radii.size == 0:
-        return radii
     if radii[-1] > profile.r_max:
-        raise DomainTooShort(f"R={radii[-1]} exceeds profile range r_max={profile.r_max}")
+        raise DomainTooShort(f"radius d={radii[-1]} exceeds the profile's r_max={profile.r_max}")
     eps = min(rel_tol, 1e-8) * 1e-2
     r_lo = min(profile.r_min if profile.r_min > 0.0 else radii[0] * 1e-12, radii[0])
     # quad refuses an epsrel below 50 eps; this piece is about r_lo^(n+1)
@@ -208,48 +205,6 @@ def _graph_volumes(profile, radii: np.ndarray, rel_tol: float) -> np.ndarray:
     return cumulative[np.searchsorted(knots, np.log(radii))]
 
 
-def _check_radius(R: float) -> None:
-    if not (math.isfinite(R) and R > 0.0):
-        raise ValueError(f"radius must be finite and positive, got {R}")
-
-
-def graph_volume(profile, R: float, rel_tol: float = 1e-8) -> float:
-    """Volume of the graph over the radial slab 0 < r <= R:
-    omega_n * integral_0^R sqrt(1+rho_r^2) (r^2 + lambda^2 rho^2)^(p/2)
-    r^(n-p) dr, by the panel rule of ``_graph_volumes``; 0 for R <= 0, where
-    the slab is empty, and ``ValueError`` for a non-finite R."""
-    if math.isfinite(R) and R <= 0.0:
-        return 0.0
-    _check_radius(R)
-    return sphere_volume(profile.params.n) * float(
-        _graph_volumes(profile, np.array([R]), rel_tol)[0])
-
-
-def density_at(profile, R: float, rel_tol: float = 1e-8) -> float:
-    """Density at extrinsic radius R: Vol(M cap B(R)) / (ball_{n+1} R^{n+1});
-    ``ValueError`` unless R is finite and positive, and ``DomainTooShort``
-    when the ball reaches past the profile's last point (r_max, rho(r_max)),
-    where the part of M inside it is not known."""
-    _check_radius(R)
-    n = profile.params.n
-
-    def radius_excess(r: float) -> float:
-        rho = profile.values_at([r])[0][0]
-        return r * r + rho * rho - R * R
-
-    r_end = min(R, profile.r_max)
-    excess = radius_excess(r_end)
-    if excess < 0.0:  # only when R > r_max: at R itself the excess is rho^2
-        raise DomainTooShort(f"the ball of radius R={R} reaches past the profile's "
-                             f"range r_max={profile.r_max}")
-    if excess == 0.0:
-        r_star = r_end
-    else:
-        r_star = brentq(radius_excess, 0.0, r_end, xtol=1e-14 * R)
-    vol = graph_volume(profile, r_star, rel_tol=rel_tol)
-    return vol / (ball_volume(n + 1) * R ** (n + 1))
-
-
 class Verdict(Enum):
     NON_MINIMIZING = "NonMinimizing"
     INCONCLUSIVE = "Inconclusive"
@@ -263,22 +218,28 @@ class DensityReport:
 
 
 def density_report(profile, radii: list[float], rel_tol: float = 1e-8) -> DensityReport:
-    """Density sequence at R_i = sqrt(d_i^2 + rho(d_i)^2) for the rescaling
-    radii d_i, compared against the cone density.
+    """Densities Vol(M cap B(R_i)) / (ball_{n+1} R_i^{n+1}) at
+    R_i = sqrt(d_i^2 + rho(d_i)^2) for the rescaling radii d_i, in ascending
+    order of d_i whatever the order of ``radii``, against the cone density.
 
-    The cone is declared non-minimizing when the first density sits strictly
-    below the cone density by more than ten quadrature tolerances.  Each d_i
-    must be finite and positive (``ValueError`` otherwise).
+    r^2 + rho^2 increases along the profile, so M cap B(R_i) is the graph
+    over 0 < r <= d_i.  The cone is declared non-minimizing when the first
+    density sits strictly below the cone density by more than ten quadrature
+    tolerances.  ``ValueError`` for an empty ``radii`` or a d_i that is not
+    finite and positive; ``DomainTooShort`` for a d_i past r_max.
     """
     n = profile.params.n
     d = np.sort(np.asarray(radii, dtype=float))
+    if d.size == 0:
+        raise ValueError("density_report needs at least one radius")
     for r in d:
-        _check_radius(r)
+        if not (math.isfinite(r) and r > 0.0):
+            raise ValueError(f"radius must be finite and positive, got {r}")
     R = np.hypot(d, profile.values_at(d)[0])
     vols = sphere_volume(n) * _graph_volumes(profile, d, rel_tol)
     thetas = (vols / (ball_volume(n + 1) * R ** (n + 1))).tolist()
     theta0 = cone_density(profile.params)
-    if thetas and thetas[0] < theta0 - 10.0 * rel_tol:
+    if thetas[0] < theta0 - 10.0 * rel_tol:
         verdict = Verdict.NON_MINIMIZING
     else:
         verdict = Verdict.INCONCLUSIVE

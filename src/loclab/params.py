@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -96,14 +97,26 @@ class LomseParams:
         return f"({self.n},{self.p},{self.k})-type [{self.stability.value}]"
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float, a string or a bool is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def validate_params(n: int, p: int, k: int, relaxed: bool = False) -> LomseParams:
     """Check a triple and populate all derived fields.
 
     With ``relaxed=True`` the family membership and evenness of k are skipped
     (the phase-plane dynamics is well defined for any p < n and k >= 2); such
-    parameter sets are exploratory only and carry ``relaxed=True``.
+    parameter sets are exploratory only and carry ``relaxed=True``.  Each of
+    n, p, k must be an integer: 4.0 is refused with ``ValueError``, not
+    truncated.
     """
-    n, p, k = int(n), int(p), int(k)
+    n, p, k = _integer(n, "n"), _integer(p, "p"), _integer(k, "k")
     family = classify_family(n, p)
     if relaxed:
         if not (1 <= p < n):

@@ -96,13 +96,11 @@ def test_phi1_equals_phi0_for_type1(orbit_322, p322):
     assert rep.phi2 is None and rep.epsilon_window is None
 
 
-def test_epsilon_window(orbit_324, orbit_546, orbit_322, p324, p546, p322):
-    w = L.epsilon_window(orbit_324)
-    assert 0 < w <= p324.phi0 / 5
-    w = L.epsilon_window(orbit_546)
-    assert 0 < w <= p546.phi0 / 5
-    with pytest.raises(L.WrongType):
-        L.epsilon_window(orbit_322)
+def test_epsilon_window(orbit_324, orbit_546, p324, p546):
+    for orbit, p in ((orbit_324, p324), (orbit_546, p546)):
+        rep = L.dirichlet_multiplicity(orbit, p, p.phi0)
+        assert rep.epsilon_window == rep.phi1 - p.phi0
+        assert 0 < rep.epsilon_window <= p.phi0 / 5
 
 
 def test_not_converged_rejected(p322):
@@ -150,8 +148,8 @@ def test_nonminimizing_verdict_at_tight_quadrature_tolerance(npk):
     tight = L.nonminimizing_verdict(prof, orbit, p, rel_tol=1e-13)
     assert tight.verdict is loose.verdict is L.Verdict.NON_MINIMIZING
     assert np.allclose(tight.theta_seq, loose.theta_seq, rtol=1e-14, atol=0.0)
-    assert L.density_at(prof, 1.0, rel_tol=1e-13) == pytest.approx(
-        L.density_at(prof, 1.0, rel_tol=1e-10), rel=1e-14)
+    assert L.density_report(prof, [1.0], rel_tol=1e-13).theta_seq == pytest.approx(
+        L.density_report(prof, [1.0], rel_tol=1e-10).theta_seq, rel=1e-14)
 
 
 def test_nonminimizing_wrong_type(profile_322, orbit_322, p322):

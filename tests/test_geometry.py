@@ -87,37 +87,16 @@ def test_cone_density_equals_volume_ratio():
         assert math.isclose(L.cone_density(p), L.los_volume_ratio(p), rel_tol=1e-12)
 
 
-def test_graph_volume_cone_closed_form(p322, cone_profile_322):
-    phi0, lam2 = p322.phi0, float(p322.lambda2)
-    n, p = p322.n, p322.p
-    for R in (0.5, 1.0, 3.0):
-        want = (
-            L.sphere_volume(n)
-            * math.sqrt(1 + phi0**2)
-            * (1 + lam2 * phi0**2) ** (p / 2)
-            * R ** (n + 1)
-            / (n + 1)
-        )
-        got = L.graph_volume(cone_profile_322, R)
-        assert math.isclose(got, want, rel_tol=1e-8)
+def test_cone_theta_equals_cone_density(p322, cone_profile_322):
+    # the graph over 0 < r <= d has the closed-form volume
+    # |S^n| sqrt(1+phi0^2) (1+lambda^2 phi0^2)^(p/2) d^(n+1)/(n+1)
+    rep = L.density_report(cone_profile_322, [0.5, 1.0, 2.0, 3.0])
+    assert rep.theta_seq == pytest.approx([L.cone_density(p322)] * 4, rel=1e-8)
 
 
-def test_graph_volume_flat_plane(p322):
-    flat = ConeProfile(p322, slope=0.0)
-    got = L.graph_volume(flat, 1.0)
-    assert math.isclose(got, L.sphere_volume(3) / 4, rel_tol=1e-8)
-    assert math.isclose(L.density_at(flat, 1.0), 1.0, rel_tol=1e-8)
-    assert math.isclose(L.density_at(flat, 7.0), 1.0, rel_tol=1e-8)
-
-
-def test_graph_volume_monotone(profile_322):
-    vols = [L.graph_volume(profile_322, R) for R in (1.0, 2.0, 4.0, 8.0)]
-    assert all(a < b for a, b in zip(vols, vols[1:]))
-
-
-def test_graph_volume_domain_too_short(profile_322):
-    with pytest.raises(L.DomainTooShort):
-        L.graph_volume(profile_322, profile_322.r_max * 2.0)
+def test_flat_plane_theta_is_one(p322):
+    rep = L.density_report(ConeProfile(p322, slope=0.0), [1.0, 7.0])
+    assert rep.theta_seq == pytest.approx([1.0, 1.0], rel=1e-8)
 
 
 def _quad_volumes(profile, params, radii: list[float]) -> list[float]:
@@ -153,9 +132,10 @@ def test_gauss_legendre_volumes_match_adaptive_quad(triple, tight):
     crossings = [math.exp(e.t) for e in orbit.events_of(L.EventKind.PHI_EQUALS_PHI0)]
     # below, at and above the seed radius r_min = 1, the crossings, and r_max
     radii = sorted([0.5, prof.r_min, 2.0] + crossings + [prof.r_max])
+    # density_report takes the graph inside B(R) to be the slab under d
+    assert np.all(np.diff(prof.r_samples**2 + prof.rho**2) > 0.0)
     rep = L.density_report(prof, radii)
     for R, theta, want in zip(radii, rep.theta_seq, _quad_volumes(prof, p, radii)):
-        assert math.isclose(L.graph_volume(prof, R), want, rel_tol=1e-10)
         ball = L.ball_volume(p.n + 1) * math.hypot(R, prof.values_at([R])[0][0]) ** (p.n + 1)
         assert math.isclose(theta, want / ball, rel_tol=1e-10)
 
@@ -191,61 +171,49 @@ def test_gauss_legendre_refines_a_narrow_feature(p322):
     R = math.exp(2.0)
     want = quad(w_t, math.log(R * 1e-12), 2.0, points=[0.95, 1.0, 1.05], epsabs=0.0,
                 epsrel=1e-12, limit=500)[0]
-    got = L.graph_volume(prof, R) / L.sphere_volume(n)
+    theta = L.density_report(prof, [R]).theta_seq[0]
+    ball = math.hypot(R, prof.values_at([R])[0][0])
+    got = theta * L.ball_volume(n + 1) * ball ** (n + 1) / L.sphere_volume(n)
     assert math.isclose(got, want, rel_tol=1e-10)
 
 
-_BAD_RADII = [-1.0, 0.0, math.nan, math.inf]
-
-
-@pytest.mark.parametrize("R", _BAD_RADII)
+@pytest.mark.parametrize("R", [-1.0, 0.0, math.nan, math.inf, -math.inf])
 def test_density_report_refuses_a_bad_radius(profile_324, R):
     with pytest.raises(ValueError, match=f"got {R}"):
         L.density_report(profile_324, [1.0, R])
 
 
-@pytest.mark.parametrize("R", _BAD_RADII + [-math.inf])
-def test_density_at_refuses_a_bad_radius(profile_324, R):
-    with pytest.raises(ValueError, match=f"got {R}"):
-        L.density_at(profile_324, R)
+def test_density_report_refuses_no_radii(profile_324):
+    with pytest.raises(ValueError, match="at least one radius"):
+        L.density_report(profile_324, [])
 
 
-@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
-def test_graph_volume_refuses_a_non_finite_radius(profile_324, R):
-    with pytest.raises(ValueError, match=f"got {R}"):
-        L.graph_volume(profile_324, R)
+def test_theta_seq_follows_ascending_d(profile_324):
+    assert (L.density_report(profile_324, [5.0, 1.0, 2.0]).theta_seq
+            == L.density_report(profile_324, [1.0, 2.0, 5.0]).theta_seq)
 
 
-@pytest.mark.parametrize("R", [0.0, -1.0])
-def test_graph_volume_of_an_empty_slab_is_zero(profile_324, R):
-    assert L.graph_volume(profile_324, R) == 0.0
-
-
-def test_density_at_refuses_a_ball_past_the_profile(p324):
-    # the profile ends at (r_max, rho(r_max)); a larger ball would take a
-    # slab clamped at r_max for the whole of M inside it
+def test_density_report_refuses_a_radius_past_the_profile(p324):
+    # past (r_max, rho(r_max)) the part of M inside the ball is not known
     orbit = L.integrate_orbit(p324, L.seed_unstable(p324),
                               tolerances=L.Tolerances(conv_radius=1e-3))
     prof = L.extract_profile(orbit, p324)
-    reach = math.hypot(prof.r_max, prof.values_at([prof.r_max])[0][0])
-    for factor in (2.0, 10.0):
-        with pytest.raises(L.DomainTooShort, match="reaches past"):
-            L.density_at(prof, factor * reach)
-    inside = L.density_at(prof, 0.99 * reach)
+    for factor in (1.01, 2.0, 10.0):
+        with pytest.raises(L.DomainTooShort, match="radius d=.* exceeds"):
+            L.density_report(prof, [1.0, factor * prof.r_max])
+    inside = L.density_report(prof, [0.99 * prof.r_max]).theta_seq[0]
     assert math.isclose(inside, L.cone_density(p324), rel_tol=1e-4)
-
-
-def test_cone_density_at_matches_formula(p322, cone_profile_322):
-    got = L.density_at(cone_profile_322, 2.0)
-    assert math.isclose(got, L.cone_density(p322), rel_tol=1e-8)
 
 
 def test_density_monotone_in_R(profile_324, p324):
     radii = np.geomspace(2.0, profile_324.r_max * 0.9, 50)
-    dens = [L.density_at(profile_324, float(R)) for R in radii]
-    diffs = np.diff(dens)
-    assert np.all(diffs > -1e-8)
-    assert all(d <= L.cone_density(p324) + 1e-8 for d in dens)
+    dens = np.array(L.density_report(profile_324, radii).theta_seq)
+    assert np.all(np.diff(dens) > -1e-8)
+    assert np.all(dens <= L.cone_density(p324) + 1e-8)
+    # the ball radii R and the graph volumes inside them grow strictly with d
+    R = np.hypot(radii, profile_324.values_at(radii)[0])
+    assert np.all(np.diff(R) > 0.0)
+    assert np.all(np.diff(dens * R ** (p324.n + 1)) > 0.0)
 
 
 def test_density_report_cone_is_inconclusive(p324):

@@ -11,7 +11,7 @@ from scipy.integrate import DOP853
 from scipy.optimize import brentq as scipy_brentq
 
 import loclab as L
-from loclab import dirichlet, dop853, dynamics, geometry, roots
+from loclab import dirichlet, dop853, dynamics, roots
 from conftest import SWEEP, TIGHT
 
 _EPS = float(np.finfo(float).eps)
@@ -38,8 +38,8 @@ def test_shipped_constants_equal_scipys():
 
 @pytest.fixture
 def both_brentqs(monkeypatch):
-    """Every ``brentq`` call of dynamics, dirichlet and geometry runs the port
-    and scipy on the same function and bracket; the pairs of results are
+    """Every ``brentq`` call of dynamics and dirichlet runs the port and
+    scipy on the same function and bracket; the pairs of results are
     recorded and the port's is used."""
     pairs = []
 
@@ -48,7 +48,7 @@ def both_brentqs(monkeypatch):
         pairs.append((ours, scipy_brentq(f, a, b, **kwargs)))
         return ours
 
-    for module in (dynamics, dirichlet, geometry):
+    for module in (dynamics, dirichlet):
         monkeypatch.setattr(module, "brentq", both)
     return pairs
 

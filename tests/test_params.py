@@ -46,6 +46,21 @@ def test_validate_examples():
         L.validate_params(4, 2, 2)
 
 
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("npk, name", [((3, 2, 4.5), "k"), ((3.9, 2, 2), "n"),
+                                       (("3", "2", "2"), "n"), ((3, 2.0, 2), "p"),
+                                       ((3, True, 2), "p")])
+def test_validate_refuses_a_non_integer(npk, name, relaxed):
+    # int() would truncate 4.5 to 4 and read "3" and True as integers
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        L.validate_params(*npk, relaxed=relaxed)
+
+
+def test_validate_takes_numpy_integers():
+    p = L.validate_params(np.int64(3), np.int32(2), np.uint8(4))
+    assert p == L.validate_params(3, 2, 4) and type(p.n) is int
+
+
 def test_relaxed_mode():
     p = L.validate_params(4, 2, 3, relaxed=True)
     assert p.relaxed and p.family is None
