@@ -87,16 +87,48 @@ def test_cone_density_equals_volume_ratio():
         assert math.isclose(L.cone_density(p), L.los_volume_ratio(p), rel_tol=1e-12)
 
 
-def test_cone_theta_equals_cone_density(p322, cone_profile_322):
-    # the graph over 0 < r <= d has the closed-form volume
-    # |S^n| sqrt(1+phi0^2) (1+lambda^2 phi0^2)^(p/2) d^(n+1)/(n+1)
-    rep = L.density_report(cone_profile_322, [0.5, 1.0, 2.0, 3.0])
-    assert rep.theta_seq == pytest.approx([L.cone_density(p322)] * 4, rel=1e-8)
+def _recovered_volumes(profile, radii) -> np.ndarray:
+    """Volumes of the graph over 0 < r <= d, recovered from density_report's
+    theta = volume / (ball_{n+1} R^{n+1}) at R = hypot(d, rho(d))."""
+    d = np.asarray(radii, dtype=float)
+    theta = np.array(L.density_report(profile, d).theta_seq)
+    R = np.hypot(d, profile.values_at(d)[0])
+    return theta * L.ball_volume(profile.params.n + 1) * R ** (profile.params.n + 1)
+
+
+def test_graph_volume_cone_closed_form(p322, cone_profile_322):
+    phi0, lam2 = p322.phi0, float(p322.lambda2)
+    n, p = p322.n, p322.p
+    radii = [0.5, 1.0, 3.0]
+    for d, got in zip(radii, _recovered_volumes(cone_profile_322, radii)):
+        want = (
+            L.sphere_volume(n)
+            * math.sqrt(1 + phi0**2)
+            * (1 + lam2 * phi0**2) ** (p / 2)
+            * d ** (n + 1)
+            / (n + 1)
+        )
+        assert math.isclose(got, want, rel_tol=1e-8)
+
+
+def test_cone_density_at_matches_formula(p322, cone_profile_322):
+    got = L.density_report(cone_profile_322, [2.0]).theta_seq[0]
+    assert math.isclose(got, L.cone_density(p322), rel_tol=1e-8)
 
 
 def test_flat_plane_theta_is_one(p322):
     rep = L.density_report(ConeProfile(p322, slope=0.0), [1.0, 7.0])
     assert rep.theta_seq == pytest.approx([1.0, 1.0], rel=1e-8)
+
+
+def test_graph_volume_monotone(profile_322):
+    vols = _recovered_volumes(profile_322, [1.0, 2.0, 4.0, 8.0])
+    assert np.all(np.diff(vols) > 0.0)
+
+
+def test_graph_volume_domain_too_short(profile_322):
+    with pytest.raises(L.DomainTooShort):
+        L.density_report(profile_322, [profile_322.r_max * 2.0])
 
 
 def _quad_volumes(profile, params, radii: list[float]) -> list[float]:
@@ -177,10 +209,27 @@ def test_gauss_legendre_refines_a_narrow_feature(p322):
     assert math.isclose(got, want, rel_tol=1e-10)
 
 
-@pytest.mark.parametrize("R", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+_BAD_RADII = [-1.0, 0.0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("R", _BAD_RADII + [-math.inf])
 def test_density_report_refuses_a_bad_radius(profile_324, R):
     with pytest.raises(ValueError, match=f"got {R}"):
         L.density_report(profile_324, [1.0, R])
+
+
+@pytest.mark.parametrize("R", _BAD_RADII + [-math.inf])
+def test_density_at_refuses_a_bad_radius(profile_324, R):
+    # a bad radius on its own, with no good radius beside it
+    with pytest.raises(ValueError, match=f"got {R}"):
+        L.density_report(profile_324, [R])
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+def test_graph_volume_refuses_a_non_finite_radius(profile_324, R):
+    # first in an unsorted list: the sort must not hide it
+    with pytest.raises(ValueError, match=f"got {R}"):
+        L.density_report(profile_324, [R, 2.0, 1.0])
 
 
 def test_density_report_refuses_no_radii(profile_324):
@@ -193,7 +242,7 @@ def test_theta_seq_follows_ascending_d(profile_324):
             == L.density_report(profile_324, [1.0, 2.0, 5.0]).theta_seq)
 
 
-def test_density_report_refuses_a_radius_past_the_profile(p324):
+def test_density_at_refuses_a_ball_past_the_profile(p324):
     # past (r_max, rho(r_max)) the part of M inside the ball is not known
     orbit = L.integrate_orbit(p324, L.seed_unstable(p324),
                               tolerances=L.Tolerances(conv_radius=1e-3))
