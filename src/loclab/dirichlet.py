@@ -3,7 +3,10 @@
 A converged orbit encodes, through its level crossings phi(t) = phi_b, the
 rescaled solutions rho_d(r) = rho(d r)/d with boundary slope phi_b at r = 1.
 Counting crossings therefore counts analytic solutions; at phi_b = phi0 the
-spiral (TypeII) produces an accumulating sequence d_i = e^{t_i}.
+spiral (TypeII) produces an accumulating sequence d_i = e^{t_i}.  Since
+phi_t = psi, phi is monotone between consecutive psi-zero events, so each
+branch of the orbit between them crosses a level at most once, and the count
+is over the branches whose phi-range holds the level (``_find_crossings``).
 """
 
 from __future__ import annotations
@@ -53,47 +56,54 @@ class DirichletReport:
     cone_solution: bool
 
 
-def _find_crossings(orbit: Orbit, level: float, refine: int = 8) -> list[float]:
-    """All t with phi(t) = level, located by root-finding on the dense output.
+def _find_crossings(orbit: Orbit, level: float) -> list[float]:
+    """All t with phi(t) = level, ascending: one on each monotone branch of
+    the orbit that holds the level.
 
-    Each solver step is subdivided so that sign changes inside long steps are
-    not missed, and ``brentq`` runs only on the bracketing subintervals.
-    Duplicate roots from adjacent subintervals are merged.
-
-    Only the steps whose polynomial can reach the level are read
-    (``Orbit.steps_reaching_phi``, an exact bound), each with both of its
-    neighbours, because ``OdeSolution`` reads a step's end nodes from an
-    adjacent segment (the one before it under its default tie rule, in either
-    direction of integration).  The grid of the kept steps is read in one
-    interpolant call.  Each value read equals its value in a scan of every
-    step, and no other step has a grid value on or across the level, so the
-    crossings equal those of a scan of every step.  The grid and the polish
-    read ``orbit.interpolant``, whose first read imports scipy, because the
-    benchmark's tracer counts the reads of that object (ROADMAP item 1).
+    phi_t = psi, so phi is monotone between consecutive psi-zero events, and
+    the orbit is a chain of branches: seed node, each psi-zero event, last
+    node.  A branch holds the level when its phi-range does, closed at the
+    seed and at the last node (a level there is crossed at that node) and
+    open at the events (a level equal to an extremum is a tangency, not a
+    crossing).  Its bracket is the first passage: the first node of the
+    branch, in integration order, at or past the level, and the node or
+    branch start before it.  Node values need not be sorted on a branch,
+    because solver chatter near (phi0, 0) wiggles them within a step.  The
+    bracket ends are read in one ``orbit.interpolant`` call; ``brentq``
+    polishes a sign change there, and otherwise (a level on a node, up to
+    the rounding of the read) the end nearer the level is the root.  Reads
+    and polish use ``orbit.interpolant``, whose first read imports scipy,
+    because the benchmark's tracer counts its reads (ROADMAP item 1).
     """
-    ts = orbit.t
-    if len(ts) < 2:
+    ts, phi = orbit.t, orbit.phi
+    way = 1.0 if ts[-1] >= ts[0] else -1.0
+    evs = sorted(orbit.events_of(EventKind.PSI_ZERO), key=lambda e: way * e.t)
+    end_t = np.array([ts[0], *(e.t for e in evs), ts[-1]])
+    end_phi = np.array([phi[0], *(e.point.phi for e in evs), phi[-1]])
+    start, stop = end_phi[:-1], end_phi[1:]
+    holds = (np.minimum(start, stop) < level) & (level < np.maximum(start, stop))
+    holds[0] |= start[0] == level
+    holds[-1] |= stop[-1] == level
+    first = np.searchsorted(way * ts, way * end_t[:-1], side="right")
+    last = np.searchsorted(way * ts, way * end_t[1:], side="left")
+    brackets = []
+    for j in np.flatnonzero(holds):
+        bt = np.r_[end_t[j], ts[first[j]:last[j]], end_t[j + 1]]
+        bphi = np.r_[start[j], phi[first[j]:last[j]], stop[j]]
+        k = int(np.argmax((bphi - level) * (stop[j] - start[j]) >= 0.0))
+        brackets.append((bt[max(k - 1, 0)], bt[k]))
+    if not brackets:
         return []
-    near = orbit.steps_reaching_phi(level)
-    keep = near.copy()
-    keep[1:] |= near[:-1]
-    keep[:-1] |= near[1:]
-    if not keep.any():
-        return []
-    grid = np.linspace(ts[:-1], ts[1:], refine + 1, axis=1)[keep]
-    vals = orbit.interpolant(grid.ravel())[0].reshape(grid.shape) - level
-    fa, fb = vals[:, :-1], vals[:, 1:]
-    roots = [float(a) for a in grid[:, :-1][fa == 0.0]]
-    for i, j in zip(*np.nonzero(fa * fb < 0.0)):
-        roots.append(float(brentq(lambda t: orbit.interpolant(t)[0] - level, grid[i, j],
-                                  grid[i, j + 1], xtol=1e-13, rtol=1e-15)))
-    if keep[-1] and vals[-1, -1] == 0.0:
-        roots.append(float(ts[-1]))
-    merged: list[float] = []
-    for t in sorted(roots):
-        if not merged or t - merged[-1] > 1e-10:
-            merged.append(t)
-    return merged
+    ta, tb = np.array(brackets).T
+    fa, fb = (orbit.interpolant(np.r_[ta, tb])[0] - level).reshape(2, -1)
+    roots = []
+    for a, b, f_a, f_b in zip(ta.tolist(), tb.tolist(), fa.tolist(), fb.tolist()):
+        if f_a * f_b < 0.0:
+            roots.append(brentq(lambda t: orbit.interpolant(t)[0] - level, a, b,
+                                xtol=1e-13, rtol=1e-15))
+        else:
+            roots.append(a if abs(f_a) < abs(f_b) else b)
+    return sorted(roots)
 
 
 def _phi_extrema(orbit: Orbit) -> tuple[float, float | None]:
@@ -131,12 +141,14 @@ def dirichlet_multiplicity(
     """Count analytic solutions to the Dirichlet problem with boundary slope
     ``phi_boundary``.
 
-    Zero when the amplitude exceeds the orbit maximum phi1; Finite(count)
-    from the located crossings otherwise; UnboundedSequence when the
-    amplitude equals phi0 within tolerance and the equilibrium is a spiral,
-    in which case only the resolvable prefix of d_i is listed together with
-    the fitted geometric decay rate.  The Lipschitz cone solution existing
-    exactly at phi0 is flagged separately; it is not an orbit crossing.
+    Zero when the amplitude exceeds the orbit maximum phi1, and for a TypeI
+    triple from phi0 (within ``PHI0_MATCH_TOL``) up, since the A3 invariant
+    region keeps a TypeI orbit below phi0; Finite(count) from the located
+    crossings otherwise; UnboundedSequence when the amplitude equals phi0
+    within tolerance and the equilibrium is a spiral, in which case only the
+    resolvable prefix of d_i is listed together with the fitted geometric
+    decay rate.  The Lipschitz cone solution existing exactly at phi0 is
+    flagged separately; it is not an orbit crossing.
     ``params`` must be the orbit's own triple (``ValueError`` otherwise).
     A level strictly between 0 and the seed's phi is refused with
     ``DomainTooShort``: its crossing lies below r_min, off the orbit.
@@ -166,7 +178,7 @@ def dirichlet_multiplicity(
             crossings = _find_crossings(orbit, phi0)
         mult = Multiplicity(MultiplicityKind.UNBOUNDED_SEQUENCE)
         rate = _decay_rate(orbit)
-    elif phi_boundary > phi1:
+    elif phi_boundary > phi1 or (not is_type2 and phi_boundary > phi0 - PHI0_MATCH_TOL):
         crossings = []
         mult = Multiplicity(MultiplicityKind.ZERO)
         rate = None

@@ -112,10 +112,6 @@ def seed_unstable(params: LomseParams, epsilon: float = 1e-8) -> PhasePoint:
 
 
 _EPS = float(np.finfo(float).eps)
-# Rounding allowance of ``Orbit.steps_reaching_phi``, per unit of |phi_old| +
-# reach + |level|: with x and 1 - x in [0, 1], Horner's 14 roundings, the add
-# of y_old and the test's own sums and difference stay below 20 ulps of it.
-_REACH_MARGIN = 32 * _EPS
 
 
 class StepTable(NamedTuple):
@@ -190,18 +186,6 @@ class Orbit:
             y *= m
         y += s.y_old[seg]
         return np.moveaxis(y, -1, 0), np.moveaxis(dy / h, -1, 0)
-
-    def steps_reaching_phi(self, level: float) -> np.ndarray:
-        """Per solver step, False only if no read of phi on the step can equal
-        or pass ``level``.  On step i the dense output is phi_old + x (F0 +
-        (1 - x)(F1 + x (F2 + ...))) with x and 1 - x in [0, 1], so phi stays
-        within reach_i = sum_j |F_j| of phi_old (Hairer-Norsett-Wanner I,
-        II.6); a step is False when |phi_old - level| exceeds reach_i by more
-        than ``_REACH_MARGIN`` of |phi_old| + reach_i + |level|."""
-        s = self.steps
-        phi_old, reach = s.y_old[:, 0], np.abs(s.F[:, :, 0]).sum(axis=1)
-        return np.abs(phi_old - level) <= reach + _REACH_MARGIN * (
-            np.abs(phi_old) + reach + abs(level))
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import loclab as L
-from loclab.dynamics import StepTable, Tolerances
+from loclab.dynamics import EventKind, StepTable, Tolerances
 
 # tight enough to resolve the fourth oscillation of the (3,2,4) spiral
 TIGHT = Tolerances(abs_tol=1e-13, rel_tol=1e-13, conv_radius=1e-11)
@@ -21,6 +21,45 @@ def step_table(sol) -> StepTable:
     """The step table of an ``OdeSolution`` of ``Dop853DenseOutput`` steps."""
     return StepTable(*(np.array([getattr(s, name) for s in sol.interpolants])
                        for name in ("t_old", "t", "y_old", "F")))
+
+
+def holding_branches(orbit, level: float) -> list[tuple[float, float]]:
+    """The time spans, ascending, of the orbit's monotone branches (seed node,
+    each psi-zero event, last node) whose phi-range holds ``level``: closed at
+    the seed and at the last node, open at the events."""
+    way = 1.0 if orbit.t[-1] >= orbit.t[0] else -1.0
+    events = sorted(orbit.events_of(EventKind.PSI_ZERO), key=lambda e: way * e.t)
+    ends = [(orbit.t[0], orbit.phi[0]), *((e.t, e.point.phi) for e in events),
+            (orbit.t[-1], orbit.phi[-1])]
+    spans = []
+    for j, ((ta, pa), (tb, pb)) in enumerate(zip(ends, ends[1:])):
+        if (min(pa, pb) < level < max(pa, pb) or (j == 0 and pa == level)
+                or (j == len(ends) - 2 and pb == level)):
+            spans.append((float(min(ta, tb)), float(max(ta, tb))))
+    return sorted(spans)
+
+
+def assert_branch_roots(orbit, level: float, roots: list[float], oracle=()) -> None:
+    """``roots`` are one crossing, ascending, on each branch that holds
+    ``level``, each within 1e-12 of it in phi; every ``oracle`` root is one of
+    them within |dt| |psi| <= 1e-12.  A TypeI orbit's tail, within
+    100 rel_tol of phi0, is exempt from the oracle match: there the solver's
+    sub-step wiggles cross the level with no psi-zero event between them, so a
+    grid scan counts each wiggle and the branch count does not."""
+    spans = holding_branches(orbit, level)
+    assert roots == sorted(roots) and len(roots) == len(spans)
+    for t, (a, b) in zip(roots, spans):
+        assert a <= t <= b
+    if roots:
+        assert np.all(np.abs(orbit.read(np.array(roots))[0][0] - level) <= 1e-12)
+    p = orbit.params
+    if (p.stability is L.Stability.TYPE_I
+            and abs(level - p.phi0) <= 100 * orbit.tolerances.rel_tol * p.phi0):
+        return
+    if len(oracle):
+        psi = orbit.read(np.array(oracle))[0][1]
+        for t_o, s in zip(oracle, psi):
+            assert min((abs(t - t_o) for t in roots), default=math.inf) * abs(s) <= 1e-12
 
 
 @pytest.fixture(scope="session")

@@ -6,15 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution
-from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 import loclab as L
-from loclab.dirichlet import MultiplicityKind, _find_crossings
-from loclab.dynamics import Orbit, Terminal
+from loclab.dirichlet import PHI0_MATCH_TOL, MultiplicityKind, _find_crossings
+from loclab.dynamics import EventKind
 
-from conftest import SWEEP, TIGHT, step_table
+from conftest import SWEEP, TIGHT, assert_branch_roots
 
 
 def test_type1_unique_solution(orbit_322, p322):
@@ -54,15 +52,24 @@ def test_type1_above_max(orbit_322, p322):
     assert rep.d_values == []
 
 
-def test_type2_at_phi0(orbit_324, p324):
-    rep = L.dirichlet_multiplicity(orbit_324, p324, p324.phi0)
-    assert rep.multiplicity.kind is MultiplicityKind.UNBOUNDED_SEQUENCE
-    assert len(rep.d_values) >= 3
-    assert rep.cone_solution
-    assert rep.decay_rate is not None and 0 < rep.decay_rate < 0.05
-    # d_i = e^{t_i}
-    for t, d in zip(rep.crossing_ts, rep.d_values):
-        assert math.isclose(d, math.exp(t), rel_tol=1e-15)
+def test_type2_at_phi0():
+    for triple in ((3, 2, 4), (3, 2, 6)):
+        p = L.validate_params(*triple)
+        # the linearization at (phi0, 0) shrinks |phi - phi0| by
+        # exp(pi Re mu3 / |Im mu3|) from one psi-zero event to the next
+        mu3 = L.spectra(p).mu3
+        linear_rate = math.exp(math.pi * mu3.real / abs(mu3.imag))
+        for tol in (L.Tolerances(), TIGHT):
+            orbit = L.integrate_orbit(p, L.seed_unstable(p, 1e-8), tolerances=tol)
+            rep = L.dirichlet_multiplicity(orbit, p, p.phi0)
+            assert rep.multiplicity.kind is MultiplicityKind.UNBOUNDED_SEQUENCE
+            assert len(rep.d_values) >= 3
+            assert rep.cone_solution
+            assert rep.decay_rate is not None
+            assert abs(rep.decay_rate / linear_rate - 1.0) < 1e-3
+            # d_i = e^{t_i}
+            for t, d in zip(rep.crossing_ts, rep.d_values):
+                assert math.isclose(d, math.exp(t), rel_tol=1e-15)
 
 
 def test_type2_window_amplitudes(orbit_324, p324):
@@ -176,7 +183,8 @@ def test_nonminimizing_refuses_an_orbit_the_profile_is_not_from(profile_324, p32
 
 
 # ---------------------------------------------------------------------------
-# the crossing scan reads only the steps that can reach the level
+# one crossing on each monotone branch that holds the level; the scan of a
+# refine grid over every solver step is the oracle
 
 
 def _full_grid_scan(orbit, refine: int = 8):
@@ -206,7 +214,8 @@ def _full_grid_scan(orbit, refine: int = 8):
 
 def _edge_levels(orbit, rng) -> list[float]:
     """0, phi0, max phi, the last node's values and node values phi(t_i) as
-    the interpolant reads them, which are exact zeros of grid points."""
+    stored and as the interpolant reads them (the read of node i comes from
+    step i - 1's polynomial, so the two can differ in the last bit)."""
     p = orbit.params
     nodes = orbit.interpolant(orbit.t)[0]
     picks = rng.choice(len(nodes), 8, replace=False)
@@ -225,7 +234,7 @@ def test_pruned_scan_equals_the_full_grid(triple, tol):
               *_edge_levels(orbit, rng)]
     full_grid = _full_grid_scan(orbit)
     for level in levels:
-        assert _find_crossings(orbit, level) == full_grid(level)
+        assert_branch_roots(orbit, level, _find_crossings(orbit, level), full_grid(level))
 
 
 def test_pruned_scan_of_a_backward_orbit(orbit_324_backward):
@@ -234,47 +243,102 @@ def test_pruned_scan_of_a_backward_orbit(orbit_324_backward):
     nodes = orbit.interpolant(orbit.t)[0]
     full_grid = _full_grid_scan(orbit)
     for level in [*_edge_levels(orbit, rng), *nodes[::7], *rng.uniform(0.0, nodes[0], 20)]:
-        assert _find_crossings(orbit, float(level)) == full_grid(float(level))
+        level = float(level)
+        assert_branch_roots(orbit, level, _find_crossings(orbit, level), full_grid(level))
     assert _find_crossings(orbit, float(nodes[3])) != []
 
 
-def _synthetic_orbit(ts, phi_olds, Fs, params, alt_segment=False):
-    """An orbit whose step i has dense output phi_old + x (F0 + (1 - x)(F1 +
-    ...)) in phi (psi = 0); the segments need not meet."""
-    steps = [Dop853DenseOutput(a, b, np.array([y, 0.0]), np.column_stack([F, np.zeros(7)]))
-             for a, b, y, F in zip(ts[:-1], ts[1:], phi_olds, Fs)]
-    ts = np.array(ts, dtype=float)
-    sol = OdeSolution(ts, steps, alt_segment=alt_segment)
-    phi = sol(ts)[0]
-    orbit = Orbit(t=ts, phi=phi, psi=np.zeros_like(phi), events=[],
-                  terminal=Terminal.CONVERGED_TO_P1, params=params,
-                  tolerances=L.Tolerances(), steps=step_table(sol))
-    if alt_segment:  # the cached interpolant, with the other tie rule
-        orbit.__dict__["interpolant"] = sol
-    return orbit
+def _orbit(triple, tol):
+    p = L.validate_params(*triple)
+    return L.integrate_orbit(p, L.seed_unstable(p, 1e-8), tolerances=tol)
 
 
-def _coeffs(*head):
-    return np.array([*head, *[0.0] * (7 - len(head))])
+def _spiral_backward(orbit):
+    """The (3,2,4) orbit from t = 12 back to t = 8, across two psi-zero
+    events, which a backward run meets in descending t."""
+    (phi, psi), _ = orbit.read(12.0)
+    return L.integrate_orbit(orbit.params, L.PhasePoint(float(phi), float(psi), 12.0),
+                             t_max=-4.0, tolerances=TIGHT)
 
 
-@pytest.mark.parametrize("ts, phi_olds, Fs, level, alt", [
-    # reach is the sum over every F_j, not |F0| = |phi_new - phi_old|: a hump
-    pytest.param([0.0, 1.0], [0.0], [_coeffs(0.0, 1.0)], 0.2, False, id="hump"),
-    # a step that stands exactly on the level is kept (<=, not <)
-    pytest.param([0.0, 1.0], [0.0], [_coeffs()], 0.0, False, id="standing"),
-    # 1 + 0.6 ulp rounds to 1 + 1 ulp, one ulp beyond the reach: the margin
-    pytest.param([0.0, 1.0], [1.0], [_coeffs(0.6 * 2.0 ** -52)], 1.0 + 2.0 ** -52, False,
-                 id="rounding"),
-    # step 1 cannot reach 2, but OdeSolution reads its first node from step 0
-    pytest.param([0.0, 1.0, 2.0], [1.0, 3.0], [_coeffs(1.0), _coeffs()], 2.0, False,
-                 id="next-neighbour"),
-    # with the other tie rule, step 0 reads its last node from step 1
-    pytest.param([0.0, 1.0, 2.0], [3.0, 1.0], [_coeffs(), _coeffs(2.0)], 2.0, True,
-                 id="previous-neighbour"),
-])
-def test_pruned_scan_on_steps_at_the_edge_of_reach(ts, phi_olds, Fs, level, alt, p322):
-    orbit = _synthetic_orbit(ts, phi_olds, Fs, p322, alt)
-    ref = _full_grid_scan(orbit)(level)
-    assert ref
-    assert _find_crossings(orbit, level) == ref
+@pytest.mark.parametrize("which", ["default", "tight", "backward", "spiral-backward",
+                                   "chatter"])
+def test_levels_on_branch_ends_and_nodes(which, orbit_324, orbit_324_backward):
+    # "chatter": solver chatter near (phi0, 0) leaves node values unsorted
+    # between its 387 psi-zero events
+    orbit = {"default": lambda: _orbit((3, 2, 4), L.Tolerances()),
+             "tight": lambda: orbit_324, "backward": lambda: orbit_324_backward,
+             "spiral-backward": lambda: _spiral_backward(orbit_324),
+             "chatter": lambda: _orbit((15, 8, 2), L.Tolerances(1e-8, 1e-8))}[which]()
+    events = [e.point.phi for e in orbit.events_of(EventKind.PSI_ZERO)]
+    nodes = orbit.interpolant(orbit.t)[0]
+    on = [float(orbit.phi[0]), *events[:3], *orbit.phi[::5], float(orbit.phi[-1]),
+          float(nodes[-1])]
+    # a level tied to a node up to rounding is neither refused nor dropped
+    levels = [*on, *(math.nextafter(x, s) for x in on[1:] for s in (-math.inf, math.inf))]
+    # at rtol = atol = 1e-8 the solver also wiggles within steps where phi is
+    # near atol: the grid crosses the seed level 1e-8 three times, with no
+    # psi-zero event between; so "chatter" is checked by the branch rule alone
+    full_grid = _full_grid_scan(orbit) if which != "chatter" else lambda level: ()
+    for level in levels:
+        level = float(level)
+        assert_branch_roots(orbit, level, _find_crossings(orbit, level), full_grid(level))
+    # the seed and the last node are closed branch ends: the node is the root
+    assert float(orbit.t[0]) in _find_crossings(orbit, float(orbit.phi[0]))
+    assert float(orbit.t[-1]) in _find_crossings(orbit, float(nodes[-1]))
+    if which != "default" and which != "tight":
+        return
+    # phi1 and phi2 are psi-zero events, where the orbit turns: a tangency
+    rep = L.dirichlet_multiplicity(orbit, orbit.params, orbit.params.phi0)
+    assert rep.phi1 == events[0] and rep.phi2 == events[1]
+    assert str(L.dirichlet_multiplicity(orbit, orbit.params, rep.phi1).multiplicity) \
+        == "Finite(0)"
+    assert len(_find_crossings(orbit, rep.phi2)) == 1  # on the branch before phi1
+
+
+LOOSE = L.Tolerances(1e-8, 1e-8)
+
+
+@pytest.mark.parametrize("triple", [(5, 4, 2), (7, 4, 2), (15, 8, 2)])
+def test_a_type1_level_at_or_above_phi0_is_zero(triple):
+    # the A3 invariant region keeps a TypeI orbit below phi0; at rtol 1e-8
+    # solver chatter near (phi0, 0) crosses phi0 4, 179 and 395 times here
+    orbit = _orbit(triple, LOOSE)
+    p = orbit.params
+    assert np.max(orbit.phi) > p.phi0
+    for level in (p.phi0, p.phi0 - 0.9 * PHI0_MATCH_TOL, p.phi0 + 1e-7, float(np.max(orbit.phi))):
+        rep = L.dirichlet_multiplicity(orbit, p, level)
+        assert rep.multiplicity.kind is MultiplicityKind.ZERO and rep.crossing_ts == []
+        assert rep.cone_solution is (abs(level - p.phi0) < PHI0_MATCH_TOL)
+
+
+def test_a_narrow_dip_between_grid_points_is_counted(orbit_324, p324):
+    # around its minimum phi2 the orbit dips below phi2 + 1e-9 and back
+    # between two points of the 9-point grid of a step, which so sees one
+    # crossing, on the way up to phi1
+    phi2 = L.dirichlet_multiplicity(orbit_324, p324, p324.phi0).phi2
+    level = phi2 + 1e-9
+    roots = _find_crossings(orbit_324, level)
+    assert len(_full_grid_scan(orbit_324)(level)) == 1
+    assert len(roots) == 3
+    assert_branch_roots(orbit_324, level, roots)
+    # phi - level changes sign at each root: over phi1, then under it in the dip
+    (phi, _), _ = orbit_324.read(np.array([0.5 * (roots[0] + roots[1]),
+                                           0.5 * (roots[1] + roots[2])]))
+    assert phi[0] > level > phi[1]
+
+
+@pytest.mark.parametrize("triple, tol, level", [
+    ((7, 4, 2), LOOSE, lambda phi0: phi0 * (1 - 3e-8)),
+    ((15, 8, 2), LOOSE, lambda phi0: phi0 * (1 - 2.2e-8)),
+    ((5, 4, 2), L.Tolerances(), lambda phi0: phi0 - 1.5e-9),
+], ids=["7-4-2-loose", "15-8-2-loose", "5-4-2-default"])
+def test_sub_step_wiggles_at_a_type1_tail_are_one_crossing(triple, tol, level):
+    # the solver's wiggles in the tail cross the level 349, 393 and 3 times
+    # inside steps with no psi-zero event between them; the orbit rises
+    # through it once
+    orbit = _orbit(triple, tol)
+    level = level(orbit.params.phi0)
+    rep = L.dirichlet_multiplicity(orbit, orbit.params, level)
+    assert str(rep.multiplicity) == "Finite(1)"
+    assert abs(orbit.read(rep.crossing_ts[0])[0][0] - level) <= 1e-12

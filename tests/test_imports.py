@@ -3,8 +3,8 @@
 Importing ``scipy.integrate`` or ``scipy.optimize`` is most of the start-up
 time of a command, so scipy is loaded only where it is still used, on first
 use.  The one command that does load it is ``dirichlet`` at a level (any
-``--phi-boundary`` but ``at-phi0`` on a spiral): its crossing scan and polish
-read ``Orbit.interpolant``, scipy's ``OdeSolution``, which the benchmark's
+``--phi-boundary`` but ``at-phi0`` on a spiral): its crossing brackets and
+their polish read ``Orbit.interpolant``, scipy's ``OdeSolution``, which the benchmark's
 tracer counts (ROADMAP item 1).  The density verdict loads it too, through
 ``geometry.quad``, but no command runs that.  Nor does ``import loclab`` load
 ``numpy.polynomial``: the densities build their Gauss-Legendre nodes on
