@@ -254,6 +254,10 @@ def run(config: RunConfig) -> int:
         print("tolerances, t_max and seed epsilon must be positive and finite",
               file=sys.stderr)
         return 2
+    if config.abs_tol >= config.seed_epsilon:
+        print(f"abs_tol {config.abs_tol} must be below seed_epsilon {config.seed_epsilon}: "
+              "the seed region would be solver noise", file=sys.stderr)
+        return 2
     if config.format not in FORMATS:
         print(f"format must be one of {', '.join(FORMATS)}, got {config.format!r}",
               file=sys.stderr)

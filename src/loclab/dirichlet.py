@@ -146,9 +146,9 @@ def dirichlet_multiplicity(
     region keeps a TypeI orbit below phi0; Finite(count) from the located
     crossings otherwise; UnboundedSequence when the amplitude equals phi0
     within tolerance and the equilibrium is a spiral, in which case only the
-    resolvable prefix of d_i is listed together with the fitted geometric
-    decay rate.  The Lipschitz cone solution existing exactly at phi0 is
-    flagged separately; it is not an orbit crossing.
+    resolvable prefix of d_i (the ``PhiEqualsPhi0`` events) is listed with the
+    fitted geometric decay rate.  The Lipschitz cone solution existing exactly
+    at phi0 is flagged separately; it is not an orbit crossing.
     ``params`` must be the orbit's own triple (``ValueError`` otherwise).
     A level strictly between 0 and the seed's phi is refused with
     ``DomainTooShort``: its crossing lies below r_min, off the orbit.
@@ -174,8 +174,6 @@ def dirichlet_multiplicity(
 
     if at_phi0 and is_type2:
         crossings = [e.t for e in orbit.events_of(EventKind.PHI_EQUALS_PHI0)]
-        if not crossings:
-            crossings = _find_crossings(orbit, phi0)
         mult = Multiplicity(MultiplicityKind.UNBOUNDED_SEQUENCE)
         rate = _decay_rate(orbit)
     elif phi_boundary > phi1 or (not is_type2 and phi_boundary > phi0 - PHI0_MATCH_TOL):

@@ -22,9 +22,9 @@ from .params import LomseParams
 
 
 def quad(func, a, b, **kwargs):
-    """scipy's adaptive ``quad``, imported on the first call: importing
-    ``scipy.integrate`` is most of the start-up time of a command, and only
-    the density quadrature needs it."""
+    """scipy's ``quad``, imported on first call and called nowhere in loclab.  Until ROADMAP
+    item 1 the benchmark's tracer (``perfbench/tracing.py``) wraps it by name: ``install``, in
+    the tracer self-test and every ``--trace 1`` run, raises AttributeError without it."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(func, a, b, **kwargs)
@@ -161,38 +161,35 @@ def _graph_volumes(profile, radii: np.ndarray, rel_tol: float) -> np.ndarray:
     """Integral of the volume integrand over (0, d] for each d in the sorted,
     positive, non-empty array ``radii``, without the omega_n factor.
 
-    ``quad`` takes the piece below r_lo, the seed radius r_min or the
-    smallest radius if that is less (1e-12 of the smallest radius for a
-    profile that starts at r = 0); there the profile is its closed-form
-    power law.  Above r_lo the integral is taken in t = log r, over panels
-    at most 1/(n+1) wide (the integrand grows like e^{(n+1)t}) with edges at
-    every requested radius.  Panels where the 8- and 12-point rules differ
-    by more than a hundredth of ``rel_tol`` (capped at 1e-8) of the total
-    are bisected and read again, at most 20 times.  One cumulative sum of
-    the 12-point values gives every radius.
+    The integral is taken in t = log r, over panels at most 1/(n+1) wide (the
+    integrand grows like e^{(n+1)t}) with edges at every requested radius, from
+    40/(n+1) e-folds below r_lo, the seed radius r_min or the smallest radius if
+    that is less (the smallest radius for a profile that starts at r = 0).  Below
+    r_lo the integrand in t is e^{(n+1)t} g, with g nondecreasing for the power
+    law c r^k (k >= 2) and constant for a cone, so the piece left out is under
+    e^-40 ~ 4.2e-18 of the total, below rounding.  Panels where the 8- and
+    12-point rules differ by more than a hundredth of ``rel_tol`` (capped at
+    1e-8) of the total are bisected and read again, at most 20 times.  One
+    cumulative sum of the 12-point values gives every radius.
     """
     if radii[-1] > profile.r_max:
         raise DomainTooShort(f"radius d={radii[-1]} exceeds the profile's r_max={profile.r_max}")
     eps = min(rel_tol, 1e-8) * 1e-2
-    r_lo = min(profile.r_min if profile.r_min > 0.0 else radii[0] * 1e-12, radii[0])
-    # quad refuses an epsrel below 50 eps; this piece is about r_lo^(n+1)
-    # of the total, so the floor costs nothing at any rel_tol
-    base = quad(lambda r: _volume_weight(profile, np.array([r]))[0],
-                0.0, r_lo, epsabs=0.0, epsrel=max(eps, 50 * np.finfo(float).eps),
-                limit=200)[0]
-    knots = np.unique(np.log(np.concatenate([[r_lo], radii])))
-    edges = [np.linspace(lo, hi, math.ceil((hi - lo) * (profile.params.n + 1)) + 1)
+    n = profile.params.n
+    t_lo = math.log(min(profile.r_min, radii[0]) if profile.r_min > 0.0 else radii[0])
+    knots = np.unique(np.concatenate([[t_lo - 40 / (n + 1), t_lo], np.log(radii)]))
+    edges = [np.linspace(lo, hi, math.ceil((hi - lo) * (n + 1)) + 1)
              for lo, hi in zip(knots[:-1], knots[1:])]
-    a = np.concatenate([[]] + [e[:-1] for e in edges])
-    b = np.concatenate([[]] + [e[1:] for e in edges])
+    a = np.concatenate([e[:-1] for e in edges])
+    b = np.concatenate([e[1:] for e in edges])
     owner = np.repeat(np.arange(len(edges)), [len(e) - 1 for e in edges])
-    values, owners, threshold = [np.zeros(0)], [np.zeros(0, dtype=int)], None
+    values, owners, threshold = [], [], None
     for depth in range(_MAX_BISECTIONS + 1):
         if a.size == 0:
             break
         low, high = _panel_sums(profile, a, b)
         if threshold is None:
-            threshold = eps * abs(base + np.sum(high))
+            threshold = eps * abs(np.sum(high))
         split = (np.abs(high - low) > threshold) & (depth < _MAX_BISECTIONS)
         values.append(high[~split])
         owners.append(owner[~split])
@@ -201,7 +198,7 @@ def _graph_volumes(profile, radii: np.ndarray, rel_tol: float) -> np.ndarray:
         owner = np.tile(owner[split], 2)
     per_interval = np.bincount(np.concatenate(owners), weights=np.concatenate(values),
                                minlength=len(edges))
-    cumulative = base + np.concatenate([[0.0], np.cumsum(per_interval)])
+    cumulative = np.concatenate([[0.0], np.cumsum(per_interval)])
     return cumulative[np.searchsorted(knots, np.log(radii))]
 
 

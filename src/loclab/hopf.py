@@ -129,31 +129,32 @@ def los_angle_root(x):
 
 
 def _general_residuals(profile: Profile, sv: np.ndarray, n_radii: int):
-    """The profile at ``n_radii`` log-spaced radii, read once, and the general equation's
-    residual there: a row per row of singular values ``sv``, a column per radius."""
+    """The profile at ``n_radii`` log-spaced radii, read once, the general equation's
+    residual there (a row per row of singular values ``sv``, a column per radius), and
+    |phi| + |psi| there, phi = rho/r and psi = rho_r - phi.  Every term of the equation
+    is of size (|phi| + |psi|)/r, so r |residual| / (|phi| + |psi|) is scale-free."""
     radii = np.geomspace(profile.r_min, profile.r_max, n_radii)
     values = profile.values_at(radii)
     spectrum = [(l2[:, None], 1) for l2 in np.atleast_2d(sv).T ** 2]
     gen = radial_residual(*values, radii, spectrum)
-    return gen, values, radii
+    phi = values[0] / radii
+    return gen, values, radii, np.abs(phi) + np.abs(values[1] - phi)
 
 
 def general_ode_residual(profile: Profile, x, n_radii: int = 20) -> float:
-    """Max absolute residual of the general minimality equation along the
-    profile, with singular values sampled pointwise at x instead of taken
-    from the closed form."""
-    gen, _, _ = _general_residuals(profile, singular_value_sample(x).singular_values, n_radii)
-    return float(np.max(np.abs(gen)))
+    """Max scale-free residual r |gen| / (|phi| + |psi|) (``_general_residuals``) of the
+    general equation on the profile, with singular values sampled pointwise at x."""
+    sv = singular_value_sample(x).singular_values
+    gen, _, radii, size = _general_residuals(profile, sv, n_radii)
+    return float(np.max(radii * np.abs(gen) / size))
 
 
 def _reduced_gap(profile: Profile, sv: np.ndarray, n_radii: int) -> float:
-    """Max of r |gen - red| / (|phi| + |psi|), phi = rho/r and psi = rho_r - phi,
-    over the general equation at singular values ``sv`` and the reduced one:
-    every term of both is of size (|phi| + |psi|)/r, so the gap is scale-free."""
-    gen, (rho, rho_r, rho_rr), radii = _general_residuals(profile, sv, n_radii)
-    red = ode1_residual(rho, rho_r, rho_rr, radii, profile.params)
-    phi = rho / radii
-    return float(np.max(radii * np.abs(gen - red) / (np.abs(phi) + np.abs(rho_r - phi))))
+    """Max of r |gen - red| / (|phi| + |psi|) over the general equation at singular
+    values ``sv`` and the reduced one: scale-free, as ``general_ode_residual``."""
+    gen, values, radii, size = _general_residuals(profile, sv, n_radii)
+    red = ode1_residual(*values, radii, profile.params)
+    return float(np.max(radii * np.abs(gen - red) / size))
 
 
 def general_vs_lomse_deviation(profile: Profile, x, n_radii: int = 20) -> float:

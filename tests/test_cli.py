@@ -197,6 +197,36 @@ def test_nonfinite_numbers_integrate_nothing(flag, value, monkeypatch, capsys):
     assert "positive and finite" in captured.err
 
 
+def test_abs_tol_at_the_seed_epsilon_integrates_nothing(monkeypatch, capsys):
+    # with atol as large as the seed's phi, the seed region is solver noise
+    _integrating_nothing(monkeypatch)
+    code = main(["portrait", "--n", "3", "--p", "2", "--k", "2", "--abs-tol", "1e-8",
+                 "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "abs_tol 1e-08" in captured.err and "seed_epsilon 1e-08" in captured.err
+
+
+def test_abs_tol_below_the_seed_epsilon_runs(tmp_path, capsys):
+    code = main(["portrait", "--n", "3", "--p", "2", "--k", "2", "--abs-tol", "1e-8",
+                 "--seed-epsilon", "1e-6", "--no-timestamp", "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_config_abs_tol_at_the_seed_epsilon_integrates_nothing(monkeypatch, tmp_path, capsys):
+    _integrating_nothing(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"abs_tol": 1e-8}))
+    code = main(["portrait", "--n", "3", "--p", "2", "--k", "2", "--config", str(cfg),
+                 "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "solver noise" in captured.err
+
+
 @pytest.mark.parametrize("command", ["sweep", "classify"])
 def test_config_format_has_the_flag_choices(command, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

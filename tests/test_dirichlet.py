@@ -146,8 +146,8 @@ def test_nonminimizing_verdict(profile_324, orbit_324, p324):
 
 @pytest.mark.parametrize("npk", [(3, 2, 4), (3, 2, 6)])
 def test_nonminimizing_verdict_at_tight_quadrature_tolerance(npk):
-    # quad refuses an epsrel below 50 eps, which the piece under r_min would
-    # ask for at rel_tol below about 1.1e-12; its floor leaves the densities
+    # a rel_tol far below rounding still ends the panel bisection, and leaves
+    # the densities where rel_tol = 1e-10 puts them
     p = L.validate_params(*npk)
     orbit = L.integrate_orbit(p, L.seed_unstable(p, 1e-8))
     prof = L.extract_profile(orbit, p)

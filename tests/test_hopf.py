@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import loclab as L
 from loclab import hopf
+from loclab.dynamics import radial_residual
 from loclab.hopf import _random_unit_vectors
 
 
@@ -286,7 +287,20 @@ def test_general_residual_on_cone(cone_profile_322, p322):
     cone_bounded = type(cone)(cone.params)
     cone_bounded.r_min, cone_bounded.r_max = 0.5, 50.0
     for x in _random_unit_vectors(5, seed=29):
-        assert L.general_ode_residual(cone_bounded, x) < 1e-9
+        assert L.general_ode_residual(cone_bounded, x) < 1e-14
+
+
+def test_general_residual_is_scale_free(profile_322):
+    # per point and radius, r |gen| / (|phi| + |psi|) with phi = rho/r, psi = rho_r - phi
+    xs = _random_unit_vectors(20, 0)
+    want = 0.0
+    for r in np.geomspace(profile_322.r_min, profile_322.r_max, 20).tolist():
+        rho, rho_r, rho_rr = (float(v[0]) for v in profile_322.values_at([r]))
+        phi = rho / r
+        for sv in L.singular_value_sample(xs).singular_values:
+            gen = radial_residual(rho, rho_r, rho_rr, r, [(float(s) ** 2, 1) for s in sv])
+            want = max(want, r * abs(gen) / (abs(phi) + abs(rho_r - phi)))
+    assert math.isclose(L.general_ode_residual(profile_322, xs), want, rel_tol=1e-12)
 
 
 def test_ode4_equivalence(p322):

@@ -5,10 +5,10 @@ time of a command, so scipy is loaded only where it is still used, on first
 use.  The one command that does load it is ``dirichlet`` at a level (any
 ``--phi-boundary`` but ``at-phi0`` on a spiral): its crossing brackets and
 their polish read ``Orbit.interpolant``, scipy's ``OdeSolution``, which the benchmark's
-tracer counts (ROADMAP item 1).  The density verdict loads it too, through
-``geometry.quad``, but no command runs that.  Nor does ``import loclab`` load
-``numpy.polynomial``: the densities build their Gauss-Legendre nodes on
-first use.
+tracer counts (ROADMAP item 1).  The density verdict, which no command runs,
+loads none: its volumes are one Gauss-Legendre sum in log r.  Nor does
+``import loclab`` load ``numpy.polynomial``: the densities build their
+Gauss-Legendre nodes on first use.
 
 Each case runs in a fresh interpreter, because this test process has loaded
 scipy long before.
@@ -73,3 +73,16 @@ def test_command_loads_no_scipy(argv, tmp_path):
     got = _run(body)
     assert got["code"] == 0
     assert got["scipy"] == []
+
+
+def test_density_verdict_loads_no_scipy():
+    # on the default (3,2,4) profile: the verdict, and densities below, at
+    # and above the seed radius r_min
+    body = ("import loclab as L\n"
+            "p = L.validate_params(3, 2, 4)\n"
+            "orbit = L.integrate_orbit(p, L.seed_unstable(p))\n"
+            "prof = L.extract_profile(orbit, p)\n"
+            "L.nonminimizing_verdict(prof, orbit, p)\n"
+            "L.density_report(prof, [0.5, prof.r_min, 2.0])\n"
+            "code = 0")
+    assert _run(body)["scipy"] == []
