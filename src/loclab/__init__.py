@@ -66,7 +66,6 @@ from .hopf import (
     hopf_verify_report,
     los_angle_root,
     los_condition_b,
-    ode4_residual,
     singular_value_sample,
 )
 from .params import (

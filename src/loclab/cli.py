@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -170,7 +170,9 @@ def _cmd_barriers(cfg: RunConfig) -> int:
 
 
 def _cmd_verify_hopf(cfg: RunConfig) -> int:
-    params, orbit = _integrated(replace(cfg, n=3, p=2, k=2, relaxed=False))
+    # the Hopf map is of (3,2,2)-type: refuse any other triple before integrating
+    hopf.require_hopf_type(validate_params(cfg.n, cfg.p, cfg.k, relaxed=cfg.relaxed))
+    params, orbit = _integrated(cfg)
     prof = dynamics.extract_profile(orbit, params)
     report = hopf.hopf_verify_report(profile=prof, params=params)
     _emit_json(report, cfg, "hopf_verify")

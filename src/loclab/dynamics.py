@@ -606,32 +606,23 @@ def _a3_case(params: LomseParams) -> tuple[CaseId, Fraction]:
     return CaseId.A3_CASE4, Fraction(1, 2)
 
 
-def _barrier_inequality_margin(
+def _boundary_margins(
     params: LomseParams, curve, curve_prime, n_grid: int
-) -> float:
-    """Min over a grid in (0, phi0) of curve'(phi) - X2/X1 at (phi, curve(phi)).
-
-    Positive margin certifies that the field points inward along the curve.
-    """
+) -> tuple[float, float]:
+    """Mins over one grid in (0, phi0) of curve'(phi) - X2/X1 at (phi, curve(phi)),
+    positive when the field points inward along the curve, and of X2(phi, 0),
+    positive when the field crosses the phi-axis upward inside the region.
+    Raises ``ValueError`` for ``n_grid < 1``, a grid that samples nothing."""
+    if n_grid < 1:
+        raise ValueError(f"grid_resolution must be at least 1, got {n_grid}")
     phi0 = params.phi0
-    worst = math.inf
+    inward = edge = math.inf
     for j in range(1, n_grid + 1):
         phi = phi0 * j / (n_grid + 1)
-        h = curve(phi)
-        x1, x2 = vector_field(phi, h, params)
-        worst = min(worst, curve_prime(phi) - x2 / x1)
-    return worst
-
-
-def _bottom_edge_margin(params: LomseParams, n_grid: int) -> float:
-    """Min of X2(phi, 0) over a grid in (0, phi0); positive means the field
-    crosses the phi-axis upward inside the region."""
-    phi0 = params.phi0
-    worst = math.inf
-    for j in range(1, n_grid + 1):
-        phi = phi0 * j / (n_grid + 1)
-        worst = min(worst, vector_field(phi, 0.0, params)[1])
-    return worst
+        x1, x2 = vector_field(phi, curve(phi), params)
+        inward = min(inward, curve_prime(phi) - x2 / x1)
+        edge = min(edge, vector_field(phi, 0.0, params)[1])
+    return inward, edge
 
 
 def barrier_certificate_A3(
@@ -667,8 +658,7 @@ def barrier_certificate_A3(
     def h_prime(phi: float) -> float:
         return (_f1_prime(phi, params) * phi + f1(phi, params)) / cnp
 
-    margin_b = _barrier_inequality_margin(params, h, h_prime, grid_resolution)
-    margin_a = _bottom_edge_margin(params, grid_resolution)
+    margin_b, margin_a = _boundary_margins(params, h, h_prime, grid_resolution)
 
     checks = [
         _signed_check("F(0)", F0, ">=0"),
@@ -702,18 +692,16 @@ def _spiral_gap(s: Fraction) -> Fraction:
 _SPIRAL_POINTS = tuple(Fraction(v) for v in ("0", "1/5", "1", "2", "10"))
 
 
-def _quarter_strip_max(params: LomseParams, m2: int) -> float:
-    """Max of Y2 + X2 over an m2 x m2 grid of the quarter strip
-    phi_th <= phi <= 3 phi0, 0 < psi <= 3 phi0, with two array evaluations
-    of the field; negative means no limit cycle crosses the strip.  Y is X
-    reflected in the phi-axis, Y2(phi, psi) = -X2(phi, -psi); negation is
-    exact, so this is -psi - (f2 psi + f1 phi)(1 + (phi - psi)^2) to the bit."""
-    n, p, phi0 = params.n, params.p, params.phi0
-    phi_th = math.sqrt((3 * p - n - 1) / (3 * (n - p)))
-    phi, psi = np.meshgrid(phi_th + (3.0 * phi0 - phi_th) * np.arange(m2) / (m2 - 1),
-                           3.0 * phi0 * np.arange(1, m2 + 1) / m2, indexing="ij")
-    _, x2 = vector_field(phi, psi, params)
-    return float(np.max(x2 - vector_field(phi, -psi, params)[1]))
+def _strip_quadratic(params: LomseParams) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact coefficients (a, b, c) of N(v) = a v^2 + b v + c, the quadratic of
+    the no-limit-cycle lemma.  Let Y be X reflected in the phi-axis,
+    Y2(phi, psi) = -X2(phi, -psi).  With v = phi^2 and D = 1 + lambda^2 v,
+    Y2 + X2 = -2 psi [N(v)/D + f2 psi^2] exactly, where a = 3 lambda^2 (n-p),
+    b = lambda^2 (1+n-3p) + 3n and c = 1+n.  D and f2 are positive, so N > 0
+    on [v_th, oo) makes Y2 + X2 < 0 on the quarter strip phi >= sqrt(v_th),
+    psi > 0."""
+    n, p, lam2 = params.n, params.p, params.lambda2
+    return 3 * lam2 * (n - p), lam2 * (1 + n - 3 * p) + 3 * n, Fraction(1 + n)
 
 
 def barrier_certificate_A4(
@@ -724,11 +712,14 @@ def barrier_certificate_A4(
     Checks, in order: the exact value F(1/5) = 32/27 of the rational bound,
     the exact identity F(s) - 32/27 = 4(5s-1)^2(55s+43)/(675(s+1)^2(10s+1)),
     which makes 32/27 the minimum of F over s > 0, the inward inequality for
-    the barrier g(phi) = (2 f1(phi) + 1/5) phi on (0, phi0), the bottom edge,
-    and the no-limit-cycle inequality Y2 + X2 < 0 over the quarter strip
-    phi >= sqrt((3p-n-1)/(3(n-p))), psi > 0.  Raises ``WrongCase`` for a
-    TypeI triple, and for a relaxed one with 3p < n + 1, where that threshold
-    is not real.
+    the barrier g(phi) = (2 f1(phi) + 1/5) phi on (0, phi0) and the bottom
+    edge, both sampled on one grid of ``grid_resolution`` points, and the
+    no-limit-cycle inequality Y2 + X2 < 0 over the quarter strip
+    phi >= sqrt(v_th), psi > 0, v_th = (3p-n-1)/(3(n-p)), decided exactly by
+    the minimum of the quadratic N of ``_strip_quadratic`` over v >= v_th.
+    Raises ``WrongCase`` for a TypeI triple, and for a relaxed one with
+    3p < n + 1, where that threshold is not real; ``ValueError`` for
+    ``grid_resolution < 1``.
     """
     if params.stability is not Stability.TYPE_II:
         raise WrongCase(f"{params} is TypeI; use barrier_certificate_A3")
@@ -746,10 +737,11 @@ def barrier_certificate_A4(
     def g_prime(phi: float) -> float:
         return 2.0 * _f1_prime(phi, params) * phi + 2.0 * f1(phi, params) + 0.2
 
-    margin_b = _barrier_inequality_margin(params, g, g_prime, grid_resolution)
-    margin_a = _bottom_edge_margin(params, grid_resolution)
+    margin_b, margin_a = _boundary_margins(params, g, g_prime, grid_resolution)
 
-    worst_lem = _quarter_strip_max(params, max(100, math.isqrt(grid_resolution * 5)))
+    # N opens upward (a > 0): its minimum on [v_th, oo) is at v_th or at its vertex
+    a, b, c = _strip_quadratic(params)
+    v = max(Fraction(3 * params.p - params.n - 1, 3 * (params.n - params.p)), -b / (2 * a))
 
     checks = [
         _signed_check("F(1/5) - 32/27 exact", F_exact - Fraction(32, 27), "==0"),
@@ -757,7 +749,8 @@ def barrier_certificate_A4(
                       identity_dev, "==0"),
         _signed_check("inward margin on psi=g(phi)", margin_b, ">0"),
         _signed_check("X2 on psi=0 edge", margin_a, ">0"),
-        _signed_check("max(Y2+X2) on quarter strip", worst_lem, "<0"),
+        _signed_check("min N(v) on quarter strip v >= (3p-n-1)/(3(n-p)) exact",
+                      (a * v + b) * v + c, ">0"),
     ]
     return BarrierCertificate(
         case_id=CaseId.A4,

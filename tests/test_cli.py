@@ -256,6 +256,19 @@ def test_verify_hopf(capsys):
     assert doc["pass"] is True
 
 
+@pytest.mark.parametrize("flags", [["--n", "7", "--p", "4", "--k", "2"],
+                                   ["--n", "5", "--p", "4", "--k", "2", "--relaxed"]])
+def test_verify_hopf_refuses_another_triple(flags, monkeypatch, capsys):
+    # the Hopf map is of (3,2,2)-type: another triple is refused before integrating
+    _integrating_nothing(monkeypatch)
+    code = main(["verify-hopf", *flags, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: WrongCase: ")
+    assert f"({flags[1]},{flags[3]},{flags[5]})" in captured.err
+
+
 def test_sweep_csv(tmp_path, capsys):
     code, _ = run_cli(
         ["sweep", "--format", "csv", "--no-timestamp", "--out", str(tmp_path)],

@@ -4,15 +4,15 @@ reference computations."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import loclab as L
-from loclab import dynamics
 from loclab.dirichlet import _find_crossings
-from loclab.dynamics import _quarter_strip_max
+from loclab.dynamics import _strip_quadratic
 from loclab.hopf import _random_unit_vectors
 
 from conftest import BACKWARD, SWEEP, TIGHT, assert_branch_roots
@@ -126,8 +126,59 @@ def _hand_written_y2(phi, psi, p):
     return -psi - (L.f2(phi, p) * psi + L.f1(phi, p) * phi) * (1.0 + (phi - psi) ** 2)
 
 
+_STRIP_CASES = [
+    *(pytest.param(t, False, id=f"{t}") for t in ((3, 2, 4), (3, 2, 6), (5, 4, 6))),
+    *(pytest.param((n, p, k), True, id=f"relaxed-{(n, p, k)}")
+      for n in range(2, 12) for p in range(1, n) for k in range(2, 9)
+      if 3 * p >= n + 1 and L.validate_params(n, p, k, relaxed=True).discriminant < 0),
+]
+
+
+def _strip_threshold(p) -> Fraction:
+    return Fraction(3 * p.p - p.n - 1, 3 * (p.n - p.p))
+
+
+def _strip_check(p):
+    return next(c for c in L.barrier_certificate_A4(p).checks if "quarter strip" in c.name)
+
+
+@pytest.mark.parametrize("triple, relaxed", _STRIP_CASES)
+def test_quarter_strip_grid_is_the_hand_written_y2(triple, relaxed):
+    # Y2 + X2 = -2 psi (N/D + f2 psi^2), N from the certificate's coefficients,
+    # is the written-out reflected field plus X2 on a grid of the strip
+    p = L.validate_params(*triple, relaxed=relaxed)
+    a, b, c = (float(x) for x in _strip_quadratic(p))
+    phi_th, top = math.sqrt(_strip_threshold(p)), 3.0 * p.phi0
+    phi, psi = np.meshgrid(np.linspace(phi_th, top, 41), top * np.arange(1, 41) / 40)
+    v = phi * phi
+    closed = -2.0 * psi * (((a * v + b) * v + c) / (1.0 + p.lambda2_float * v)
+                           + L.f2(phi, p) * psi * psi)
+    ref = _hand_written_y2(phi, psi, p) + L.vector_field(phi, psi, p)[1]
+    assert np.all(np.abs(closed - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("triple, relaxed", _STRIP_CASES)
+def test_quarter_strip_check_is_its_value_at_the_threshold(triple, relaxed):
+    # N(v_th) = 3p (1 + v_th), and N' > 0 there, so the minimum is at v_th
+    p = L.validate_params(*triple, relaxed=relaxed)
+    check = _strip_check(p)
+    assert check.value == 3 * p.p * (1 + _strip_threshold(p))
+    assert check.required_sign == ">0" and check.passed
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 6), (5, 4, 6)])
+def test_quarter_strip_threshold_matters(triple):
+    # below v_th, N dips under 0: the lemma would fail on a wider strip
+    p = L.validate_params(*triple)
+    a, b, c = _strip_quadratic(p)
+    vertex = -b / (2 * a)
+    assert 0 < vertex < _strip_threshold(p)
+    assert (a * vertex + b) * vertex + c < 0
+
+
 @pytest.mark.parametrize("triple", [(3, 2, 4), (3, 2, 6), (5, 4, 6)])
 def test_quarter_strip_matches_scalar_loop(triple):
+    # the exact verdict has the sign of a grid maximum taken point by point
     p = L.validate_params(*triple)
     n, pp, phi0 = p.n, p.p, p.phi0
     m2 = 9
@@ -139,38 +190,7 @@ def test_quarter_strip_matches_scalar_loop(triple):
             psi = 3.0 * phi0 * j / m2
             _, x2 = L.vector_field(phi, psi, p)
             worst = max(worst, _hand_written_y2(phi, psi, p) + x2)
-    assert _quarter_strip_max(p, m2) == worst < 0.0
-
-
-_STRIP_CASES = [
-    *(pytest.param(t, False, id=f"{t}") for t in ((3, 2, 4), (3, 2, 6), (5, 4, 6))),
-    *(pytest.param((n, p, k), True, id=f"relaxed-{(n, p, k)}")
-      for n in range(2, 12) for p in range(1, n) for k in range(2, 9)
-      if 3 * p >= n + 1 and L.validate_params(n, p, k, relaxed=True).discriminant < 0),
-]
-
-
-@pytest.mark.parametrize("triple, relaxed", _STRIP_CASES)
-def test_quarter_strip_grid_is_the_hand_written_y2(triple, relaxed, monkeypatch):
-    # _quarter_strip_max reads Y2(phi, psi) as -X2(phi, -psi); on the grid
-    # barrier_certificate_A4 samples, every value of Y2 + X2 must be the
-    # written-out expression to the bit
-    p = L.validate_params(*triple, relaxed=relaxed)
-    calls = []
-    field = dynamics.vector_field
-
-    def recorded(phi, psi, params):
-        out = field(phi, psi, params)
-        calls.append((phi, psi, out[1]))
-        return out
-
-    monkeypatch.setattr(dynamics, "vector_field", recorded)
-    got = _quarter_strip_max(p, max(100, math.isqrt(2048 * 5)))
-    (phi, psi, x2), (phi_r, psi_r, x2_r) = calls
-    assert np.array_equal(phi_r, phi) and np.array_equal(psi_r, -psi)
-    ref = _hand_written_y2(phi, psi, p) + x2
-    assert np.array_equal(x2 - x2_r, ref)
-    assert got == float(np.max(ref))
+    assert worst < 0.0 and _strip_check(p).passed
 
 
 def test_profile_values_match_scalar_accessors(profile_324):
