@@ -80,7 +80,7 @@ def f2(phi, params: LomseParams):
     return params.n - params.p + params.p / (1.0 + lam2 * phi * phi)
 
 
-def _f1_prime(phi: float, params: LomseParams) -> float:
+def _f1_prime(phi, params: LomseParams):
     lam2 = params.lambda2_float
     denom = 1.0 + lam2 * phi * phi
     return -(lam2 - 1.0) * params.p * 2.0 * lam2 * phi / (denom * denom)
@@ -120,7 +120,9 @@ class StepTable(NamedTuple):
     terminal event cut the step short), the state ``y_old`` at its start,
     shape (N, 2), and the coefficients ``F``, shape (N, 7, 2).  On step i
     the state is y_old + x (F0 + (1 - x)(F1 + x (F2 + ...))) with
-    x = (t - t_old) / h and h = t_new - t_old (Hairer-Norsett-Wanner I, II.6)."""
+    x = (t - t_old) / h and h = t_new - t_old (Hairer-Norsett-Wanner I, II.6).
+    ``_dop853`` builds ``F`` after the run, for all steps at once, except
+    the steps it densified in its loop to locate an event root."""
 
     t_old: np.ndarray
     t_new: np.ndarray
@@ -197,14 +199,9 @@ _EXPONENT = -1.0 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
 _STAGES = dop853.N_STAGES
 
 
-def _stage_plan(K, rows, first):
-    """Per stage s from ``first`` on: the view K[:s]^T, the tableau row a[:s]
-    and the row K[s] that the stage writes."""
-    return [(K[:s].T, a[:s], K[s]) for s, a in enumerate(rows, start=first)]
-
-
 def _fill_stages(plan, y0, y1, h, params):
-    """K[s] = X(y + h K[:s]^T a) along a stage plan; the field is autonomous,
+    """K[s] = X(y + h K[:s]^T a) along a stage plan, whose entries are the view
+    K[:s]^T, the tableau row a[:s] and the row K[s]; the field is autonomous,
     so the stage nodes c never enter.  The dot product is scipy's own numpy
     call, so its rounding is too; the rest is the same IEEE arithmetic on
     Python floats."""
@@ -251,13 +248,42 @@ def _step_state(t_old, h, y_old, F):
     return state
 
 
+def _dense_output(K, h, y_old, y_new, params):
+    """The dense-output coefficients F, shape (N, 7, 2), of N accepted steps
+    at once, from their stages ``K``, shape (N, 13, 2) (the 12 stages and the
+    field at the step's end), their sizes ``h`` and their start and end
+    states, each (N, 2): scipy's 3 extra stages, one array field call each,
+    then F = (dy, h f_old - dy, 2 dy - h (f_new + f_old), h D K).  Each stage
+    state comes from a stacked ``np.matmul``, which gives each step the same
+    product as scipy's ``np.dot``, and each element of an array field call is
+    the scalar call's value, so row i is step i's ``Dop853DenseOutput.F``."""
+    full = np.empty((len(h), _STAGES + 1 + len(dop853.A_EXTRA), 2))
+    full[:, :_STAGES + 1] = K
+    hc = h[:, None]
+    for s, a in enumerate(dop853.A_EXTRA, start=_STAGES + 1):
+        phi, psi = (y_old + np.matmul(full[:, :s].transpose(0, 2, 1), a[:s]) * hc).T
+        full[:, s, 0], full[:, s, 1] = vector_field(phi, psi, params)
+    dy = y_new - y_old
+    f_old, f_new = full[:, 0], full[:, _STAGES]
+    F = np.empty((len(h), 7, 2))
+    F[:, 0] = dy
+    F[:, 1] = hc * f_old - dy
+    F[:, 2] = 2 * dy - hc * (f_new + f_old)
+    F[:, 3:] = h[:, None, None] * np.matmul(dop853.D, full)
+    return F
+
+
 def _dop853(params, t0, y, t_bound, rtol, atol, events):
     """Integrate X from state ``y`` at ``t0`` towards ``t_bound``, step for
     step as ``solve_ivp(method="DOP853", dense_output=True)`` does.
 
     ``events`` holds ``(g(phi, psi), direction, terminal)`` triples; a sign
     change of g over a step is located by ``brentq`` on the step's dense
-    output, and the first terminal root ends the run there.  Returns the
+    output, and the first terminal root ends the run there.  The loop keeps
+    each accepted step's stages and end state, and densifies a step at once
+    only where an event is active, since ``brentq`` reads its polynomial;
+    ``_dense_output`` then builds the other steps' coefficients in one
+    batched pass after the run, so no step is densified twice.  Returns the
     times, the (2, N) states, the ``StepTable``, the event times per event,
     the status (0 reached t_bound, 1 terminal event, -1 failed) and a message.
     """
@@ -269,17 +295,18 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
     if atol < 0:
         raise ValueError("`atol` must be positive.")
     direction = 1.0 if t_bound > t0 else -1.0
-    K = np.empty((_STAGES + 1 + len(dop853.A_EXTRA), 2))
-    stages = _stage_plan(K, dop853.A[1:], 1)
-    extra = _stage_plan(K, dop853.A_EXTRA, _STAGES + 1)
-    B, E3, E5, D = dop853.B, dop853.E3, dop853.E5, dop853.D
-    kt_b, kt_e = K[:_STAGES].T, K[:_STAGES + 1].T
+    K = np.empty((_STAGES + 1, 2))
+    stages = [(K[:s].T, a[:s], K[s]) for s, a in enumerate(dop853.A[1:], start=1)]
+    B, E3, E5 = dop853.B, dop853.E3, dop853.E5
+    kt_b, kt_e = K[:_STAGES].T, K.T
     y0, y1 = y
     f = vector_field(y0, y1, params)
     h_abs = _initial_step(t0, y, f, t_bound, direction, rtol, atol, params)
     t = t0
     ts, ys = [t0], [(y0, y1)]
-    t_olds, t_news, y_olds, Fs = [], [], [], []  # the step table, one row per step
+    # per accepted step: its ends, start and end states and stages, and its
+    # coefficients F where an event made the loop densify it
+    t_olds, t_news, y_olds, y_news, Ks, dense = [], [], [], [], [], {}
     g = [ev(y0, y1) for ev, _, _ in events]
     t_events = [[] for _ in events]
     status, message = None, None
@@ -320,27 +347,24 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
             rejected = True
         if status == -1:
             break
-        t_old, o0, o1, f_old = t, y0, y1, f
+        t_old, o0, o1 = t, y0, y1
         t, y0, y1, f = t_new, n0, n1, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        # the dense output: 3 more stages and scipy's 7 x 2 coefficients F
-        _fill_stages(extra, o0, o1, h, params)
-        F = np.empty((7, 2))
-        F[3:] = h * np.dot(D, K)
-        dy0, dy1 = y0 - o0, y1 - o1
-        F[:3] = ((dy0, dy1), (h * f_old[0] - dy0, h * f_old[1] - dy1),
-                 (2 * dy0 - h * (f[0] + f_old[0]), 2 * dy1 - h * (f[1] + f_old[1])))
         t_olds.append(t_old)
         t_news.append(t)
         y_olds.append((o0, o1))
-        Fs.append(F)
+        y_news.append((y0, y1))
+        Ks.append(K.copy())
         # solve_ivp's event rule
         g_new = [ev(y0, y1) for ev, _, _ in events]
         active = [i for i, ((_, d, _), a, b) in enumerate(zip(events, g, g_new))
                   if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
         t_end, y_end = t, (y0, y1)
         if active:
+            F = dense[len(Ks) - 1] = _dense_output(
+                K[None], np.array([h]), np.array([y_olds[-1]]), np.array([y_news[-1]]),
+                params)[0]
             step = _step_state(t_old, h, (o0, o1), F)
             roots = [(brentq(lambda s, ev=events[i][0]: ev(*step(s)), t_old, t,
                              xtol=4 * _EPS, rtol=4 * _EPS), i) for i in active]
@@ -355,12 +379,22 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
                 t_events[i].append(te)
         g = g_new
         if len(ts) > 1 and ts[-1] == t_end:
-            for row in (t_olds, t_news, y_olds, Fs):
+            for row in (t_olds, t_news, y_olds, y_news, Ks):
                 row.pop()
+            dense.pop(len(Ks), None)
         else:
             ts.append(t_end)
             ys.append(y_end)
-    steps = StepTable(np.array(t_olds), np.array(t_news), np.array(y_olds), np.array(Fs))
+    # the dense output of every step the loop did not densify, in one pass
+    t_old, t_new, y_old = np.array(t_olds), np.array(t_news), np.array(y_olds)
+    F = np.empty((len(Ks), 7, 2))
+    rest = np.ones(len(Ks), dtype=bool)
+    for i, F_i in dense.items():
+        F[i], rest[i] = F_i, False
+    if rest.any():
+        F[rest] = _dense_output(np.array(Ks)[rest], (t_new - t_old)[rest], y_old[rest],
+                                np.array(y_news)[rest], params)
+    steps = StepTable(t_old, t_new, y_old, F)
     return np.array(ts), np.array(ys).T, steps, t_events, status, message
 
 
@@ -375,9 +409,11 @@ def integrate_orbit(
 
     Uses the 8th-order adaptive Dormand-Prince scheme DOP853 with dense
     output (``_dop853``).  Events (psi = 0 crossings, phi = phi0 crossings)
-    are located by root-finding on each step's dense output, and their points
-    are read with ``Orbit.read``.  Convergence is declared when the state
-    enters the ball of radius ``conv_radius`` around (phi0, 0):
+    are located by root-finding on the dense output of the step where an
+    event function changes sign, which the step loop builds there and then;
+    the other steps' dense output is built in one pass after the run.  The
+    event points are read with ``Orbit.read``.  Convergence is declared when
+    the state enters the ball of radius ``conv_radius`` around (phi0, 0):
     that equilibrium is a hyperbolic sink for every triple (tr B = -(n+1) < 0
     and det B = 2n(K-n)/K > 0 since K = k(k+n-1) > n), so entering the ball
     is the whole rule, for nodes and spirals alike.
@@ -612,17 +648,20 @@ def _boundary_margins(
     """Mins over one grid in (0, phi0) of curve'(phi) - X2/X1 at (phi, curve(phi)),
     positive when the field points inward along the curve, and of X2(phi, 0),
     positive when the field crosses the phi-axis upward inside the region.
-    Raises ``ValueError`` for ``n_grid < 1``, a grid that samples nothing."""
+    The grid, ``curve``, ``curve_prime``, the ratio and the minima are arrays,
+    but the field is still called twice per grid point, on scalars: perfbench
+    counts field calls, and its self-test expects 2 * 64 of them for a
+    64-point certificate, until exact checks replace the sampling (ROADMAP
+    items 1-2).  Raises ``ValueError`` for ``n_grid < 1``, a grid that
+    samples nothing."""
     if n_grid < 1:
         raise ValueError(f"grid_resolution must be at least 1, got {n_grid}")
-    phi0 = params.phi0
-    inward = edge = math.inf
-    for j in range(1, n_grid + 1):
-        phi = phi0 * j / (n_grid + 1)
-        x1, x2 = vector_field(phi, curve(phi), params)
-        inward = min(inward, curve_prime(phi) - x2 / x1)
-        edge = min(edge, vector_field(phi, 0.0, params)[1])
-    return inward, edge
+    phi = params.phi0 * np.arange(1, n_grid + 1) / (n_grid + 1)
+    grid = phi.tolist()
+    x1, x2 = np.array([vector_field(a, b, params)
+                       for a, b in zip(grid, curve(phi).tolist())]).T
+    edge = np.array([vector_field(a, 0.0, params)[1] for a in grid])
+    return float(np.min(curve_prime(phi) - x2 / x1)), float(np.min(edge))
 
 
 def barrier_certificate_A3(
@@ -652,10 +691,10 @@ def barrier_certificate_A3(
 
     cnp = float(c) * (n - p)
 
-    def h(phi: float) -> float:
+    def h(phi):
         return f1(phi, params) * phi / cnp
 
-    def h_prime(phi: float) -> float:
+    def h_prime(phi):
         return (_f1_prime(phi, params) * phi + f1(phi, params)) / cnp
 
     margin_b, margin_a = _boundary_margins(params, h, h_prime, grid_resolution)
@@ -731,10 +770,10 @@ def barrier_certificate_A4(
     identity_dev = sum(abs(_spiral_bound(s) - Fraction(32, 27) - _spiral_gap(s))
                        for s in _SPIRAL_POINTS)
 
-    def g(phi: float) -> float:
+    def g(phi):
         return (2.0 * f1(phi, params) + 0.2) * phi
 
-    def g_prime(phi: float) -> float:
+    def g_prime(phi):
         return 2.0 * _f1_prime(phi, params) * phi + 2.0 * f1(phi, params) + 0.2
 
     margin_b, margin_a = _boundary_margins(params, g, g_prime, grid_resolution)

@@ -356,19 +356,21 @@ def _assert_same_orbit(orbit, ref):
 
 @pytest.mark.parametrize("npk, seed, t_max, tol", _LOOP_CASES, ids=_LOOP_IDS)
 def test_dop853_matches_solve_ivp(npk, seed, t_max, tol, monkeypatch):
+    # the field is evaluated at solve_ivp's points, no more: the dense output
+    # of most steps is one array call per extra stage, so count points, not calls
     p = L.validate_params(*npk)
     ref, nfev = _solve_ivp_orbit(p, seed, t_max, tol)
-    calls = []
+    points = []
     field = dynamics.vector_field
 
     def counted(phi, psi, params):
-        calls.append(None)
+        points.append(np.size(phi))
         return field(phi, psi, params)
 
     monkeypatch.setattr(dynamics, "vector_field", counted)
     orbit = L.integrate_orbit(p, seed, t_max, tol)
     _assert_same_orbit(orbit, ref)
-    assert len(calls) == nfev
+    assert sum(points) == nfev
 
 
 def test_dop853_matches_solve_ivp_at_the_rtol_floor():
@@ -387,8 +389,9 @@ def test_dop853_fails_as_solve_ivp_on_a_nan_field(monkeypatch):
     field = dynamics.vector_field
 
     def poisoned(phi, psi, params):
+        # elementwise, since the dense output calls the field on arrays
         x1, x2 = field(phi, psi, params)
-        return (x1, math.nan) if phi > 0.5 else (x1, x2)
+        return x1, np.where(np.greater(phi, 0.5), math.nan, x2)
 
     monkeypatch.setattr(dynamics, "vector_field", poisoned)
     seed = L.seed_unstable(_P322)
@@ -425,6 +428,32 @@ def _dop853_and_reference(params, y0, t_max, tol, event_fns):
     assert [list(te) for te in ref.t_events] == t_events
     assert status == ref.status
     return got
+
+
+@pytest.mark.parametrize("tol", [Tolerances(), TIGHT], ids=["default", "tight"])
+def test_dop853_step_table_does_not_depend_on_events(tol, monkeypatch):
+    # the psi-zero and phi0 events make the loop densify their steps one by
+    # one, and the pass after the run densifies the rest: the table is the
+    # one of a run with no events, and each step is densified exactly once
+    phi0 = _P324.phi0
+    events = ((lambda phi, psi: psi, 0, False), (lambda phi, psi: phi - phi0, 0, False))
+    y0 = (1e-8, 3e-8)
+    dense, densified = dynamics._dense_output, []
+
+    def counted(K, h, y_old, y_new, params):
+        densified.append(len(h))
+        return dense(K, h, y_old, y_new, params)
+
+    monkeypatch.setattr(dynamics, "_dense_output", counted)
+    t, _, steps, t_events, status, _ = dynamics._dop853(
+        _P324, 0.0, y0, 200.0, tol.rel_tol, tol.abs_tol, events)
+    assert status == 0 and len(t_events[0]) >= 2 and len(t_events[1]) >= 2
+    assert len(densified) > 2 and sum(densified) == len(t) - 1
+    densified.clear()
+    free = dynamics._dop853(_P324, 0.0, y0, 200.0, tol.rel_tol, tol.abs_tol, ())
+    assert densified == [len(t) - 1]
+    assert np.array_equal(free[0], t)
+    assert all(np.array_equal(a, b) for a, b in zip(steps, free[2]))
 
 
 def test_interpolant_steps_end_at_the_stored_step_ends(p322):

@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import brentq
 
 import loclab as L
+from loclab import dynamics
 from loclab.dirichlet import _find_crossings
 from loclab.dynamics import _strip_quadratic
 from loclab.hopf import _random_unit_vectors
@@ -191,6 +192,59 @@ def test_quarter_strip_matches_scalar_loop(triple):
             _, x2 = L.vector_field(phi, psi, p)
             worst = max(worst, _hand_written_y2(phi, psi, p) + x2)
     assert worst < 0.0 and _strip_check(p).passed
+
+
+def _scalar_boundary_margins(params, curve, curve_prime, n_grid):
+    """The reference for ``_boundary_margins``: one scalar loop over the grid,
+    two field calls per point, minima taken as it goes."""
+    phi0 = params.phi0
+    inward = edge = math.inf
+    for j in range(1, n_grid + 1):
+        phi = phi0 * j / (n_grid + 1)
+        x1, x2 = L.vector_field(phi, curve(phi), params)
+        inward = min(inward, curve_prime(phi) - x2 / x1)
+        edge = min(edge, L.vector_field(phi, 0.0, params)[1])
+    return inward, edge
+
+
+_MARGIN_CASES = [
+    *(pytest.param(t, False, id=f"{t}") for t in SWEEP),
+    *(pytest.param((n, p, k), True, id=f"relaxed-{(n, p, k)}")
+      for n in range(2, 12) for p in range(1, n) for k in range(2, 9)
+      if 3 * p >= n + 1 or L.validate_params(n, p, k, relaxed=True).discriminant >= 0),
+]
+
+
+@pytest.mark.parametrize("triple, relaxed", _MARGIN_CASES)
+def test_boundary_margins_equal_the_scalar_loop(triple, relaxed, monkeypatch):
+    # each certificate's margins, bit for bit, on its own curve and grid, with
+    # the field still called twice per grid point
+    p = L.validate_params(*triple, relaxed=relaxed)
+    certificate = (L.barrier_certificate_A3 if p.stability is L.Stability.TYPE_I
+                   else L.barrier_certificate_A4)
+    margins, field = dynamics._boundary_margins, dynamics.vector_field
+    seen = []
+
+    def compared(params, curve, curve_prime, n_grid):
+        calls = []
+
+        def counted(phi, psi, params):
+            calls.append(np.size(phi))
+            return field(phi, psi, params)
+
+        monkeypatch.setattr(dynamics, "vector_field", counted)
+        got = margins(params, curve, curve_prime, n_grid)
+        monkeypatch.setattr(dynamics, "vector_field", field)
+        seen.append((got, _scalar_boundary_margins(params, curve, curve_prime, n_grid),
+                     calls, n_grid))
+        return got
+
+    monkeypatch.setattr(dynamics, "_boundary_margins", compared)
+    certificate(p)
+    ((got, ref, calls, n_grid),) = seen
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [x.hex() for x in ref]
+    assert calls == [1] * (2 * n_grid)
 
 
 def test_profile_values_match_scalar_accessors(profile_324):
