@@ -70,20 +70,20 @@ class Terminal(Enum):
 
 def f1(phi, params: LomseParams):
     """(lambda^2-1) p / (1 + lambda^2 phi^2) - (n - p); vanishes at phi0."""
-    lam2 = params.lambda2_float
-    return (lam2 - 1.0) * params.p / (1.0 + lam2 * phi * phi) - (params.n - params.p)
+    lam2, n_p, _, lam2_1p = params.field_constants
+    return lam2_1p / (1.0 + lam2 * phi * phi) - n_p
 
 
 def f2(phi, params: LomseParams):
     """(n - p) + p / (1 + lambda^2 phi^2); strictly positive."""
-    lam2 = params.lambda2_float
-    return params.n - params.p + params.p / (1.0 + lam2 * phi * phi)
+    lam2, n_p, p, _ = params.field_constants
+    return n_p + p / (1.0 + lam2 * phi * phi)
 
 
 def _f1_prime(phi, params: LomseParams):
-    lam2 = params.lambda2_float
+    lam2, _, _, lam2_1p = params.field_constants
     denom = 1.0 + lam2 * phi * phi
-    return -(lam2 - 1.0) * params.p * 2.0 * lam2 * phi / (denom * denom)
+    return -lam2_1p * 2.0 * lam2 * phi / (denom * denom)
 
 
 def vector_field(phi, psi, params: LomseParams) -> tuple:
@@ -91,11 +91,11 @@ def vector_field(phi, psi, params: LomseParams) -> tuple:
     (phi,psi) -> -(phi,psi).  The system is autonomous, so there is no time
     argument.  ``phi`` and ``psi`` may be arrays (so may ``phi`` in f1, f2):
     each element then gets exactly the value of the scalar call."""
-    lam2, n, p = params.lambda2_float, params.n, params.p
+    lam2, n_p, p, lam2_1p = params.field_constants
     # f1 and f2 inline around one denominator, in their own operation order
     d = 1.0 + lam2 * phi * phi
-    f2_ = n - p + p / d
-    f1_ = (lam2 - 1.0) * p / d - (n - p)
+    f2_ = n_p + p / d
+    f1_ = lam2_1p / d - n_p
     s = phi + psi
     return psi, -psi - (f2_ * psi - f1_ * phi) * (1.0 + s * s)
 
@@ -202,11 +202,12 @@ _STAGES = dop853.N_STAGES
 def _fill_stages(plan, y0, y1, h, params):
     """K[s] = X(y + h K[:s]^T a) along a stage plan, whose entries are the view
     K[:s]^T, the tableau row a[:s] and the row K[s]; the field is autonomous,
-    so the stage nodes c never enter.  The dot product is scipy's own numpy
-    call, so its rounding is too; the rest is the same IEEE arithmetic on
-    Python floats."""
+    so the stage nodes c never enter.  The dot product is ``ndarray.dot``,
+    the C product that scipy's ``np.dot`` calls, without ``np.dot``'s
+    dispatcher, so its rounding is scipy's; the rest is the same IEEE
+    arithmetic on Python floats."""
     for kt, a, row in plan:
-        d0, d1 = np.dot(kt, a).tolist()
+        d0, d1 = kt.dot(a).tolist()
         row[0], row[1] = vector_field(y0 + d0 * h, y1 + d1 * h, params)
 
 
@@ -325,14 +326,14 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
             h_abs = abs(h)
             K[0] = f
             _fill_stages(stages, y0, y1, h, params)
-            d0, d1 = np.dot(kt_b, B).tolist()
+            d0, d1 = kt_b.dot(B).tolist()
             n0, n1 = y0 + h * d0, y1 + h * d1
             f_new = vector_field(n0, n1, params)
             K[_STAGES] = f_new
             scale = np.array((atol + max(abs(y0), abs(n0)) * rtol,
                               atol + max(abs(y1), abs(n1)) * rtol))
             # np.linalg.norm of a real vector is sqrt(v.dot(v)), rounding included
-            v5, v3 = np.dot(kt_e, E5) / scale, np.dot(kt_e, E3) / scale
+            v5, v3 = kt_e.dot(E5) / scale, kt_e.dot(E3) / scale
             err5, err3 = math.sqrt(v5.dot(v5)) ** 2, math.sqrt(v3.dot(v3)) ** 2
             if err5 == 0 and err3 == 0:
                 err = 0.0
@@ -648,20 +649,20 @@ def _boundary_margins(
     """Mins over one grid in (0, phi0) of curve'(phi) - X2/X1 at (phi, curve(phi)),
     positive when the field points inward along the curve, and of X2(phi, 0),
     positive when the field crosses the phi-axis upward inside the region.
-    The grid, ``curve``, ``curve_prime``, the ratio and the minima are arrays,
-    but the field is still called twice per grid point, on scalars: perfbench
-    counts field calls, and its self-test expects 2 * 64 of them for a
-    64-point certificate, until exact checks replace the sampling (ROADMAP
-    items 1-2).  Raises ``ValueError`` for ``n_grid < 1``, a grid that
+    The grid, ``curve``, ``curve_prime`` and the minima are arrays, and the
+    ratio is taken on Python floats, but the field is still called twice per
+    grid point, on scalars: perfbench counts field calls, and its self-test
+    expects 2 * 64 of them for a 64-point certificate, until exact checks
+    replace the sampling (ROADMAP items 1-2).  Raises ``ValueError`` for ``n_grid < 1``, a grid that
     samples nothing."""
     if n_grid < 1:
         raise ValueError(f"grid_resolution must be at least 1, got {n_grid}")
     phi = params.phi0 * np.arange(1, n_grid + 1) / (n_grid + 1)
     grid = phi.tolist()
-    x1, x2 = np.array([vector_field(a, b, params)
-                       for a, b in zip(grid, curve(phi).tolist())]).T
+    ratio = [x2 / x1 for x1, x2 in (vector_field(a, b, params)
+                                    for a, b in zip(grid, curve(phi).tolist()))]
     edge = np.array([vector_field(a, 0.0, params)[1] for a in grid])
-    return float(np.min(curve_prime(phi) - x2 / x1)), float(np.min(edge))
+    return float(np.min(curve_prime(phi) - np.array(ratio))), float(np.min(edge))
 
 
 def barrier_certificate_A3(

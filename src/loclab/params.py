@@ -85,8 +85,17 @@ class LomseParams:
         return self.k * (self.k + self.n - 1)
 
     @cached_property
-    def lambda2_float(self) -> float:  # converted once: the field reads it per call
+    def lambda2_float(self) -> float:  # converted once: read per call
         return float(self.lambda2)
+
+    @cached_property
+    def field_constants(self) -> tuple[float, float, float, float]:
+        """(lambda^2, n - p, p, (lambda^2 - 1) p) as floats, converted once for
+        the field and its parts, which read them on every call.  Each is the
+        value its expression takes with the ints n and p, which Python
+        converts exactly, so the field rounds as the int expressions do."""
+        lam2, n, p = self.lambda2_float, self.n, self.p
+        return lam2, float(n - p), float(p), (lam2 - 1.0) * p
 
     @property
     def discriminant(self) -> Fraction:

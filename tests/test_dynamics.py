@@ -46,6 +46,69 @@ def test_vector_field_is_f1_f2_bit_for_bit(triple):
             b, -b - (L.f2(a, p) * b - L.f1(a, p) * a) * (1.0 + (a + b) * (a + b)))
 
 
+# The field and its parts as written with the ints n, p and float(lambda^2),
+# each in its own operation order: an independent reference for the rounding
+# of loclab's, which reads its per-triple floats from ``field_constants``.
+def _f1_prime_formula(phi, p, lam2):
+    denom = 1.0 + lam2 * phi * phi
+    return -(lam2 - 1.0) * p * 2.0 * lam2 * phi / (denom * denom)
+
+
+_FORMULAS = {
+    "f1": lambda phi, n, p, lam2: (lam2 - 1.0) * p / (1.0 + lam2 * phi * phi) - (n - p),
+    "f2": lambda phi, n, p, lam2: n - p + p / (1.0 + lam2 * phi * phi),
+    "_f1_prime": lambda phi, n, p, lam2: _f1_prime_formula(phi, p, lam2),
+}
+
+
+def _field_formula(phi, psi, n, p, lam2):
+    d = 1.0 + lam2 * phi * phi
+    f2_ = n - p + p / d
+    f1_ = (lam2 - 1.0) * p / d - (n - p)
+    s = phi + psi
+    return psi, -psi - (f2_ * psi - f1_ * phi) * (1.0 + s * s)
+
+
+def _bits(x):
+    """Type and exact bits of a scalar, or of each element of an array."""
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.shape, [v.hex() for v in x.ravel().tolist()]
+    return type(x), float(x).hex()
+
+
+_FORMULA_CASES = [
+    *(pytest.param(t, False, id=f"{t}") for t in SWEEP),
+    *(pytest.param((n, p, k), True, id=f"relaxed-{(n, p, k)}")
+      for n in range(2, 12) for p in range(1, n) for k in range(2, 9)),
+]
+
+
+@pytest.mark.parametrize("triple, relaxed", _FORMULA_CASES)
+def test_vector_field_matches_its_formula(triple, relaxed):
+    # bit for bit, on scalars (ints and negative states included) and on one
+    # array call; vector_field, f1, f2 and _f1_prime alike
+    p = L.validate_params(*triple, relaxed=relaxed)
+    n, pp, lam2 = p.n, p.p, float(p.lambda2)
+    rng = np.random.default_rng(sum(triple))
+    phis = [0, 1, -2, 3, p.phi0, -p.phi0, 0.5 * p.phi0, 1e-8, -1e-8, -0.75,
+            *rng.uniform(-3.0, 3.0, 6).tolist()]
+    psis = [0, -1, 2, 0.0, 0.3, -1e-9, *rng.uniform(-4.0, 4.0, 3).tolist()]
+    for a in phis:
+        for b in psis:
+            got = L.vector_field(a, b, p)
+            ref = _field_formula(a, b, n, pp, lam2)
+            assert [_bits(x) for x in got] == [_bits(x) for x in ref], (a, b)
+        for name, formula in _FORMULAS.items():
+            got = getattr(dynamics, name)(a, p)
+            assert _bits(got) == _bits(formula(a, n, pp, lam2)), (name, a)
+    phi, psi = rng.uniform(-3.0, 3.0, (2, 200))
+    phi[:3] = 0.0, p.phi0, -p.phi0
+    got, ref = L.vector_field(phi, psi, p), _field_formula(phi, psi, n, pp, lam2)
+    assert [_bits(x) for x in got] == [_bits(x) for x in ref]
+    for name, formula in _FORMULAS.items():
+        assert _bits(getattr(dynamics, name)(phi, p)) == _bits(formula(phi, n, pp, lam2))
+
+
 @given(phi=FINITE, psi=FINITE)
 def test_antisymmetry_exact(phi, psi):
     p = L.validate_params(3, 2, 4)

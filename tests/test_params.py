@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import loclab as L
+from loclab.serialize import to_jsonable
 from conftest import SWEEP
 
 ADMISSIBLE_NP = st.one_of(
@@ -59,6 +61,24 @@ def test_validate_refuses_a_non_integer(npk, name, relaxed):
 def test_validate_takes_numpy_integers():
     p = L.validate_params(np.int64(3), np.int32(2), np.uint8(4))
     assert p == L.validate_params(3, 2, 4) and type(p.n) is int
+
+
+def test_field_constants_are_not_state():
+    # a cached property, not a field: reading it changes no field, no report
+    # key, no equality and no hash
+    names = ["n", "p", "k", "family", "lambda2", "lam", "theta", "phi0_sq", "phi0",
+             "stability", "relaxed"]
+    assert [f.name for f in dataclasses.fields(L.LomseParams)] == names
+    a, b = L.validate_params(5, 4, 4), L.validate_params(5, 4, 4)
+    assert list(to_jsonable(a)) == names
+    assert a == b and hash(a) == hash(b)
+    lam2 = float(a.lambda2)
+    assert a.field_constants == (lam2, 1.0, 4.0, (lam2 - 1.0) * 4)
+    assert all(type(x) is float for x in a.field_constants)
+    assert list(to_jsonable(a)) == names and to_jsonable(a) == to_jsonable(b)
+    assert a == b and hash(a) == hash(b)
+    b.field_constants
+    assert a == b and hash(a) == hash(b)
 
 
 def test_relaxed_mode():
