@@ -205,7 +205,9 @@ def nonminimizing_verdict(
 
     The rescaling radii are the d_i = e^{t_i} at the phi0 crossings; the
     density at the first of them sits strictly below the cone density.
-    ``ValueError`` unless ``profile`` is from ``orbit`` and ``params`` its triple.
+    ``ValueError`` unless ``profile`` is from ``orbit`` and ``params`` its
+    triple, and from ``density_report`` for a ``rel_tol`` that is not finite
+    and positive.
     """
     if orbit is not profile.orbit:
         raise ValueError("the profile was not extracted from this orbit")

@@ -121,8 +121,8 @@ class StepTable(NamedTuple):
     shape (N, 2), and the coefficients ``F``, shape (N, 7, 2).  On step i
     the state is y_old + x (F0 + (1 - x)(F1 + x (F2 + ...))) with
     x = (t - t_old) / h and h = t_new - t_old (Hairer-Norsett-Wanner I, II.6).
-    ``_dop853`` builds ``F`` after the run, for all steps at once, except
-    the steps it densified in its loop to locate an event root."""
+    ``_dop853`` builds ``F`` after the run, for all steps at once, and then
+    locates the event roots on it."""
 
     t_old: np.ndarray
     t_new: np.ndarray
@@ -274,17 +274,23 @@ def _dense_output(K, h, y_old, y_new, params):
     return F
 
 
+def _crosses(direction, a, b):
+    """solve_ivp's event rule: g goes from ``a`` to ``b`` through zero in ``direction``."""
+    return (direction >= 0 and a <= 0 <= b) or (direction <= 0 and a >= 0 >= b)
+
+
 def _dop853(params, t0, y, t_bound, rtol, atol, events):
     """Integrate X from state ``y`` at ``t0`` towards ``t_bound``, step for
     step as ``solve_ivp(method="DOP853", dense_output=True)`` does.
 
-    ``events`` holds ``(g(phi, psi), direction, terminal)`` triples; a sign
-    change of g over a step is located by ``brentq`` on the step's dense
-    output, and the first terminal root ends the run there.  The loop keeps
-    each accepted step's stages and end state, and densifies a step at once
-    only where an event is active, since ``brentq`` reads its polynomial;
-    ``_dense_output`` then builds the other steps' coefficients in one
-    batched pass after the run, so no step is densified twice.  Returns the
+    ``events`` holds ``(g(phi, psi), direction, terminal)`` triples.  The loop
+    only steps: per accepted step it keeps the end node, the 13 stage rows and
+    the g values there, and it stops after the first step on which a terminal
+    g changes sign.  After the run ``_dense_output`` builds every step's
+    coefficients in one batched pass, and ``brentq`` locates the root of each
+    sign change on its step's dense output.  On the terminal step the roots
+    are kept in time order up to the first terminal one, where the last node
+    moves (the step is dropped when that root is its start).  Returns the
     times, the (2, N) states, the ``StepTable``, the event times per event,
     the status (0 reached t_bound, 1 terminal event, -1 failed) and a message.
     """
@@ -304,12 +310,9 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
     f = vector_field(y0, y1, params)
     h_abs = _initial_step(t0, y, f, t_bound, direction, rtol, atol, params)
     t = t0
-    ts, ys = [t0], [(y0, y1)]
-    # per accepted step: its ends, start and end states and stages, and its
-    # coefficients F where an event made the loop densify it
-    t_olds, t_news, y_olds, y_news, Ks, dense = [], [], [], [], [], {}
-    g = [ev(y0, y1) for ev, _, _ in events]
-    t_events = [[] for _ in events]
+    # per node its time, state and g values; per accepted step its stages
+    ts, ys, Ks = [t0], [(y0, y1)], []
+    gs = [[ev(y0, y1) for ev, _, _ in events]]
     status, message = None, None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -348,54 +351,43 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
             rejected = True
         if status == -1:
             break
-        t_old, o0, o1 = t, y0, y1
         t, y0, y1, f = t_new, n0, n1, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        t_olds.append(t_old)
-        t_news.append(t)
-        y_olds.append((o0, o1))
-        y_news.append((y0, y1))
+        ts.append(t)
+        ys.append((y0, y1))
         Ks.append(K.copy())
-        # solve_ivp's event rule
-        g_new = [ev(y0, y1) for ev, _, _ in events]
-        active = [i for i, ((_, d, _), a, b) in enumerate(zip(events, g, g_new))
-                  if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
-        t_end, y_end = t, (y0, y1)
-        if active:
-            F = dense[len(Ks) - 1] = _dense_output(
-                K[None], np.array([h]), np.array([y_olds[-1]]), np.array([y_news[-1]]),
-                params)[0]
-            step = _step_state(t_old, h, (o0, o1), F)
-            roots = [(brentq(lambda s, ev=events[i][0]: ev(*step(s)), t_old, t,
-                             xtol=4 * _EPS, rtol=4 * _EPS), i) for i in active]
-            if any(events[i][2] for _, i in roots):
-                # in time order, up to and including the first terminal root
-                roots.sort(key=lambda r: r[0] * direction)
-                stop = next(j for j, (_, i) in enumerate(roots) if events[i][2])
-                roots = roots[:stop + 1]
-                status, t_end = 1, roots[-1][0]
-                y_end = step(t_end)
-            for te, i in roots:
-                t_events[i].append(te)
-        g = g_new
-        if len(ts) > 1 and ts[-1] == t_end:
-            for row in (t_olds, t_news, y_olds, y_news, Ks):
-                row.pop()
-            dense.pop(len(Ks), None)
-        else:
-            ts.append(t_end)
-            ys.append(y_end)
-    # the dense output of every step the loop did not densify, in one pass
-    t_old, t_new, y_old = np.array(t_olds), np.array(t_news), np.array(y_olds)
-    F = np.empty((len(Ks), 7, 2))
-    rest = np.ones(len(Ks), dtype=bool)
-    for i, F_i in dense.items():
-        F[i], rest[i] = F_i, False
-    if rest.any():
-        F[rest] = _dense_output(np.array(Ks)[rest], (t_new - t_old)[rest], y_old[rest],
-                                np.array(y_news)[rest], params)
-    steps = StepTable(t_old, t_new, y_old, F)
+        gs.append([ev(y0, y1) for ev, _, _ in events])
+        if any(terminal and _crosses(d, a, b)
+               for (_, d, terminal), a, b in zip(events, *gs[-2:])):
+            status = 1
+    t_all, y_all = np.array(ts), np.array(ys)
+    F = _dense_output(np.array(Ks).reshape(len(Ks), _STAGES + 1, 2), t_all[1:] - t_all[:-1],
+                      y_all[:-1], y_all[1:], params)
+    steps = StepTable(t_all[:-1], t_all[1:], y_all[:-1], F)
+    # the roots, step by step, in solve_ivp's order
+    t_events = [[] for _ in events]
+    for j, (a, b) in enumerate(zip(gs, gs[1:])):
+        active = [i for i, (_, d, _) in enumerate(events) if _crosses(d, a[i], b[i])]
+        if not active:
+            continue
+        t_old, t_new = ts[j], ts[j + 1]
+        step = _step_state(t_old, t_new - t_old, ys[j], F[j])
+        roots = [(brentq(lambda s, ev=events[i][0]: ev(*step(s)), t_old, t_new,
+                         xtol=4 * _EPS, rtol=4 * _EPS), i) for i in active]
+        if status == 1 and j == len(Ks) - 1:
+            # in time order, up to and including the first terminal root
+            roots.sort(key=lambda r: r[0] * direction)
+            stop = next(k for k, (_, i) in enumerate(roots) if events[i][2])
+            roots = roots[:stop + 1]
+            t_end = roots[-1][0]
+            if j > 0 and t_end == t_old:  # the root is a node: scipy's donot_append
+                del ts[-1], ys[-1]
+                steps = StepTable(*(col[:-1] for col in steps))
+            else:
+                ts[-1], ys[-1] = t_end, step(t_end)
+        for te, i in roots:
+            t_events[i].append(te)
     return np.array(ts), np.array(ys).T, steps, t_events, status, message
 
 
@@ -409,11 +401,11 @@ def integrate_orbit(
     (phi0, 0), domain exit, or t_max (backward when t_max < 0).
 
     Uses the 8th-order adaptive Dormand-Prince scheme DOP853 with dense
-    output (``_dop853``).  Events (psi = 0 crossings, phi = phi0 crossings)
-    are located by root-finding on the dense output of the step where an
-    event function changes sign, which the step loop builds there and then;
-    the other steps' dense output is built in one pass after the run.  The
-    event points are read with ``Orbit.read``.  Convergence is declared when
+    output (``_dop853``).  The step loop only steps; after the run the dense
+    output of every step is built in one pass, and events (psi = 0 crossings,
+    phi = phi0 crossings) are located by root-finding on the dense output of
+    each step where an event function changes sign.  The event points are
+    read with ``Orbit.read``.  Convergence is declared when
     the state enters the ball of radius ``conv_radius`` around (phi0, 0):
     that equilibrium is a hyperbolic sink for every triple (tr B = -(n+1) < 0
     and det B = 2n(K-n)/K > 0 since K = k(k+n-1) > n), so entering the ball

@@ -222,9 +222,12 @@ def density_report(profile, radii: list[float], rel_tol: float = 1e-8) -> Densit
     r^2 + rho^2 increases along the profile, so M cap B(R_i) is the graph
     over 0 < r <= d_i.  The cone is declared non-minimizing when the first
     density sits strictly below the cone density by more than ten quadrature
-    tolerances.  ``ValueError`` for an empty ``radii`` or a d_i that is not
-    finite and positive; ``DomainTooShort`` for a d_i past r_max.
+    tolerances.  ``ValueError`` for an empty ``radii``, a d_i or a ``rel_tol``
+    that is not finite and positive; ``DomainTooShort`` for a d_i past r_max.
     """
+    # a negative rel_tol splits every panel at every depth; NaN or inf says Inconclusive
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     n = profile.params.n
     d = np.sort(np.asarray(radii, dtype=float))
     if d.size == 0:

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 import loclab as L
+from loclab import geometry
 from loclab.dirichlet import PHI0_MATCH_TOL, MultiplicityKind, _find_crossings
 from loclab.dynamics import EventKind
 
@@ -174,6 +175,17 @@ def test_a_triple_other_than_the_orbits_is_refused(profile_324, orbit_324, p324,
             L.nonminimizing_verdict(profile_324, orbit_324, params)
         with pytest.raises(ValueError, match=name):
             L.dirichlet_multiplicity(orbit_324, params, 0.5)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
+def test_nonminimizing_refuses_a_bad_rel_tol(profile_324, orbit_324, p324, rel_tol,
+                                             monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("a panel was integrated")
+
+    monkeypatch.setattr(geometry, "_panel_sums", no_quadrature)
+    with pytest.raises(ValueError, match=f"rel_tol .*got {rel_tol}"):
+        L.nonminimizing_verdict(profile_324, orbit_324, p324, rel_tol=rel_tol)
 
 
 def test_nonminimizing_refuses_an_orbit_the_profile_is_not_from(profile_324, p324):

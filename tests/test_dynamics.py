@@ -392,15 +392,18 @@ def _solve_ivp_orbit(params, seed, t_max=200.0, tol=Tolerances()):
 
 
 _P322, _P324 = L.validate_params(3, 2, 2), L.validate_params(3, 2, 4)
+# at 1e-8 the TypeI tails chatter: many steps carry psi-zero and phi0 events
+_LOOSE = Tolerances(abs_tol=1e-8, rel_tol=1e-8)
 _LOOP_CASES = [
     *((npk, L.seed_unstable(L.validate_params(*npk)), 200.0, tol)
-      for npk in SWEEP for tol in (Tolerances(), TIGHT)),
+      for npk in SWEEP for tol in (Tolerances(), TIGHT, _LOOSE)),
     ((3, 2, 4), L.PhasePoint(1e-8, 3e-8, 0.0), -5.0, Tolerances(abs_tol=1e-16, rel_tol=1e-12)),
     ((3, 2, 2), L.seed_unstable(_P322), 3.0, Tolerances()),
     ((3, 2, 2), L.PhasePoint(0.5, 0.5, 0.0), -10.0, Tolerances()),
     ((3, 2, 2), L.PhasePoint(1e-8, 1e-8, 5.0), 200.0, Tolerances()),
 ]
-_LOOP_IDS = [*(f"{n}{p}{k}-{name}" for n, p, k in SWEEP for name in ("default", "tight")),
+_LOOP_IDS = [*(f"{n}{p}{k}-{name}" for n, p, k in SWEEP
+                for name in ("default", "tight", "1e-8")),
                "backward", "t_max=3", "left-domain", "shifted-seed"]
 
 
@@ -495,26 +498,32 @@ def _dop853_and_reference(params, y0, t_max, tol, event_fns):
 
 @pytest.mark.parametrize("tol", [Tolerances(), TIGHT], ids=["default", "tight"])
 def test_dop853_step_table_does_not_depend_on_events(tol, monkeypatch):
-    # the psi-zero and phi0 events make the loop densify their steps one by
-    # one, and the pass after the run densifies the rest: the table is the
-    # one of a run with no events, and each step is densified exactly once
+    # the loop only steps: one dense-output pass covers every step after the
+    # run, and the psi-zero and phi0 roots are located after that pass, so the
+    # table is the one of a run with no events
     phi0 = _P324.phi0
     events = ((lambda phi, psi: psi, 0, False), (lambda phi, psi: phi - phi0, 0, False))
     y0 = (1e-8, 3e-8)
-    dense, densified = dynamics._dense_output, []
+    dense, root, calls = dynamics._dense_output, dynamics.brentq, []
 
-    def counted(K, h, y_old, y_new, params):
-        densified.append(len(h))
+    def counted_dense(K, h, y_old, y_new, params):
+        calls.append(("dense", len(h)))
         return dense(K, h, y_old, y_new, params)
 
-    monkeypatch.setattr(dynamics, "_dense_output", counted)
+    def counted_root(f, a, b, **kwargs):
+        calls.append(("brentq", None))
+        return root(f, a, b, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_dense_output", counted_dense)
+    monkeypatch.setattr(dynamics, "brentq", counted_root)
     t, _, steps, t_events, status, _ = dynamics._dop853(
         _P324, 0.0, y0, 200.0, tol.rel_tol, tol.abs_tol, events)
     assert status == 0 and len(t_events[0]) >= 2 and len(t_events[1]) >= 2
-    assert len(densified) > 2 and sum(densified) == len(t) - 1
-    densified.clear()
+    n_roots = len(t_events[0]) + len(t_events[1])
+    assert calls == [("dense", len(t) - 1)] + [("brentq", None)] * n_roots
+    calls.clear()
     free = dynamics._dop853(_P324, 0.0, y0, 200.0, tol.rel_tol, tol.abs_tol, ())
-    assert densified == [len(t) - 1]
+    assert calls == [("dense", len(t) - 1)]
     assert np.array_equal(free[0], t)
     assert all(np.array_equal(a, b) for a, b in zip(steps, free[2]))
 
