@@ -200,15 +200,16 @@ _STAGES = dop853.N_STAGES
 
 
 def _fill_stages(plan, y0, y1, h, params):
-    """K[s] = X(y + h K[:s]^T a) along a stage plan, whose entries are the view
-    K[:s]^T, the tableau row a[:s] and the row K[s]; the field is autonomous,
-    so the stage nodes c never enter.  The dot product is ``ndarray.dot``,
-    the C product that scipy's ``np.dot`` calls, without ``np.dot``'s
-    dispatcher, so its rounding is scipy's; the rest is the same IEEE
-    arithmetic on Python floats."""
-    for kt, a, row in plan:
-        d0, d1 = kt.dot(a).tolist()
-        row[0], row[1] = vector_field(y0 + d0 * h, y1 + d1 * h, params)
+    """K[s] = X(y + h K[:s]^T a) along a stage plan, whose entries are the
+    bound product ``K[:s].T.dot``, the tableau row a[:s] and the row K[s]; the
+    field is autonomous, so the stage nodes c never enter.  The dot product is
+    ``ndarray.dot``, the C product that scipy's ``np.dot`` calls, without
+    ``np.dot``'s dispatcher, so its rounding is scipy's; the rest is the same
+    IEEE arithmetic on Python floats."""
+    field = vector_field
+    for dot, a, row in plan:
+        d0, d1 = dot(a).tolist()
+        row[0], row[1] = field(y0 + d0 * h, y1 + d1 * h, params)
 
 
 def _initial_step(t0, y, f, t_bound, direction, rtol, atol, params):
@@ -239,9 +240,9 @@ def _step_state(t_old, h, y_old, F):
 
     def state(t):
         x = (t - t_old) / h
+        u = 1 - x
         y0 = y1 = 0.0
-        for i, (f0, f1) in enumerate(rows):
-            m = x if i % 2 == 0 else 1 - x
+        for (f0, f1), m in zip(rows, (x, u, x, u, x, u, x)):
             y0 = (y0 + f0) * m
             y1 = (y1 + f1) * m
         return y0 + o0, y1 + o1
@@ -275,8 +276,11 @@ def _dense_output(K, h, y_old, y_new, params):
 
 
 def _crosses(direction, a, b):
-    """solve_ivp's event rule: g goes from ``a`` to ``b`` through zero in ``direction``."""
-    return (direction >= 0 and a <= 0 <= b) or (direction <= 0 and a >= 0 >= b)
+    """solve_ivp's event rule: g goes from ``a`` to ``b`` through zero in
+    ``direction``.  Written with ``&`` and ``|``, so it takes floats and
+    arrays that broadcast together alike, with the same answer per element."""
+    return (((direction >= 0) & (a <= 0) & (b >= 0))
+            | ((direction <= 0) & (a >= 0) & (b <= 0)))
 
 
 def _dop853(params, t0, y, t_bound, rtol, atol, events):
@@ -285,12 +289,16 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
 
     ``events`` holds ``(g(phi, psi), direction, terminal)`` triples.  The loop
     only steps: per accepted step it keeps the end node, the 13 stage rows and
-    the g values there, and it stops after the first step on which a terminal
-    g changes sign.  After the run ``_dense_output`` builds every step's
-    coefficients in one batched pass, and ``brentq`` locates the root of each
-    sign change on its step's dense output.  On the terminal step the roots
-    are kept in time order up to the first terminal one, where the last node
-    moves (the step is dropped when that root is its start).  Returns the
+    the terminal g values there, and it stops after the first step on which a
+    terminal g changes sign.  After the run ``_dense_output`` builds every
+    step's coefficients in one batched pass.  Each non-terminal g is called
+    once, on the arrays of the nodes' phi and psi, so it must accept arrays
+    and give each element the value of the scalar call.  One array pass of
+    ``_crosses`` over the (nodes x events) g values then marks the steps on
+    which some g changes sign, and ``brentq`` locates each of those roots on
+    its step's dense output.  On the terminal step the roots are kept in time
+    order up to the first terminal one, where the last node moves (the step
+    is dropped when that root is its start).  Returns the
     times, the (2, N) states, the ``StepTable``, the event times per event,
     the status (0 reached t_bound, 1 terminal event, -1 failed) and a message.
     """
@@ -303,19 +311,25 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
         raise ValueError("`atol` must be positive.")
     direction = 1.0 if t_bound > t0 else -1.0
     K = np.empty((_STAGES + 1, 2))
-    stages = [(K[:s].T, a[:s], K[s]) for s, a in enumerate(dop853.A[1:], start=1)]
+    stages = [(K[:s].T.dot, a[:s], K[s]) for s, a in enumerate(dop853.A[1:], start=1)]
     B, E3, E5 = dop853.B, dop853.E3, dop853.E5
     kt_b, kt_e = K[:_STAGES].T, K.T
+    # rows set element by element: a float per item is cheaper than a tuple per row
+    k_first, k_last = K[0], K[_STAGES]
     y0, y1 = y
     f = vector_field(y0, y1, params)
     h_abs = _initial_step(t0, y, f, t_bound, direction, rtol, atol, params)
     t = t0
-    # per node its time, state and g values; per accepted step its stages
+    term = [i for i, (_, _, terminal) in enumerate(events) if terminal]
+    term_g, term_d = [events[i][0] for i in term], [events[i][1] for i in term]
+    # per node its time, state and terminal g values; per accepted step its stages
     ts, ys, Ks = [t0], [(y0, y1)], []
-    gs = [[ev(y0, y1) for ev, _, _ in events]]
+    g_old = [g(y0, y1) for g in term_g]
+    gs = [g_old]
     status, message = None, None
+    toward = direction * math.inf
     while status is None:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, toward) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -327,12 +341,12 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
+            k_first[0], k_first[1] = f
             _fill_stages(stages, y0, y1, h, params)
             d0, d1 = kt_b.dot(B).tolist()
             n0, n1 = y0 + h * d0, y1 + h * d1
             f_new = vector_field(n0, n1, params)
-            K[_STAGES] = f_new
+            k_last[0], k_last[1] = f_new
             scale = np.array((atol + max(abs(y0), abs(n0)) * rtol,
                               atol + max(abs(y1), abs(n1)) * rtol))
             # np.linalg.norm of a real vector is sqrt(v.dot(v)), rounding included
@@ -357,20 +371,26 @@ def _dop853(params, t0, y, t_bound, rtol, atol, events):
         ts.append(t)
         ys.append((y0, y1))
         Ks.append(K.copy())
-        gs.append([ev(y0, y1) for ev, _, _ in events])
-        if any(terminal and _crosses(d, a, b)
-               for (_, d, terminal), a, b in zip(events, *gs[-2:])):
+        g_new = [g(y0, y1) for g in term_g]
+        gs.append(g_new)
+        if any(map(_crosses, term_d, g_old, g_new)):
             status = 1
+        g_old = g_new
     t_all, y_all = np.array(ts), np.array(ys)
     F = _dense_output(np.array(Ks).reshape(len(Ks), _STAGES + 1, 2), t_all[1:] - t_all[:-1],
                       y_all[:-1], y_all[1:], params)
     steps = StepTable(t_all[:-1], t_all[1:], y_all[:-1], F)
+    # every g at every node: the terminal columns from the loop, the others in one call each
+    g_nodes = np.empty((len(ts), len(events)))
+    g_nodes[:, term] = gs
+    for i, (g, _, terminal) in enumerate(events):
+        if not terminal:
+            g_nodes[:, i] = g(y_all[:, 0], y_all[:, 1])
+    marked = _crosses(np.array([d for _, d, _ in events]), g_nodes[:-1], g_nodes[1:])
     # the roots, step by step, in solve_ivp's order
     t_events = [[] for _ in events]
-    for j, (a, b) in enumerate(zip(gs, gs[1:])):
-        active = [i for i, (_, d, _) in enumerate(events) if _crosses(d, a[i], b[i])]
-        if not active:
-            continue
+    for j in np.flatnonzero(marked.any(axis=1)).tolist():
+        active = np.flatnonzero(marked[j]).tolist()
         t_old, t_new = ts[j], ts[j + 1]
         step = _step_state(t_old, t_new - t_old, ys[j], F[j])
         roots = [(brentq(lambda s, ev=events[i][0]: ev(*step(s)), t_old, t_new,
@@ -401,11 +421,14 @@ def integrate_orbit(
     (phi0, 0), domain exit, or t_max (backward when t_max < 0).
 
     Uses the 8th-order adaptive Dormand-Prince scheme DOP853 with dense
-    output (``_dop853``).  The step loop only steps; after the run the dense
-    output of every step is built in one pass, and events (psi = 0 crossings,
-    phi = phi0 crossings) are located by root-finding on the dense output of
-    each step where an event function changes sign.  The event points are
-    read with ``Orbit.read``.  Convergence is declared when
+    output (``_dop853``).  The step loop only steps, and evaluates only the
+    two terminal events (ball entry and domain exit) at each node.  After the
+    run the dense output of every step is built in one pass, the psi and
+    phi - phi0 event functions are each called once on the node arrays, and
+    events (psi = 0 crossings, phi = phi0 crossings) are located by
+    root-finding on the dense output of each step where an event function
+    changes sign.  The event points are read with ``Orbit.read``.
+    Convergence is declared when
     the state enters the ball of radius ``conv_radius`` around (phi0, 0):
     that equilibrium is a hyperbolic sink for every triple (tr B = -(n+1) < 0
     and det B = 2n(K-n)/K > 0 since K = k(k+n-1) > n), so entering the ball
@@ -421,7 +444,7 @@ def integrate_orbit(
     cap_phi = max(5.0 * phi0, 1.0)
     cap_psi = max(5.0 * phi0, 10.0)
     conv = tol.conv_radius
-    event_fns = (  # (g(phi, psi), direction, terminal)
+    event_fns = (  # (g(phi, psi), direction, terminal); the non-terminal g's take arrays
         (lambda phi, psi: psi, 0, False),
         (lambda phi, psi: phi - phi0, 0, False),
         (lambda phi, psi: math.hypot(phi - phi0, psi) - conv, -1, True),

@@ -144,6 +144,7 @@ def _unit_gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _MAX_BISECTIONS = 20
+_REL_FLOOR = 100 * float(np.finfo(float).eps)
 
 
 def _panel_sums(profile, a: np.ndarray, b: np.ndarray):
@@ -169,12 +170,15 @@ def _graph_volumes(profile, radii: np.ndarray, rel_tol: float) -> np.ndarray:
     law c r^k (k >= 2) and constant for a cone, so the piece left out is under
     e^-40 ~ 4.2e-18 of the total, below rounding.  Panels where the 8- and
     12-point rules differ by more than a hundredth of ``rel_tol`` (capped at
-    1e-8) of the total are bisected and read again, at most 20 times.  One
-    cumulative sum of the 12-point values gives every radius.
+    1e-8) of the total are bisected and read again, at most 20 times.  That
+    threshold is floored at 100 machine epsilons of the total, as ``_dop853``
+    floors ``rtol``: below it the rules differ by their rounding, so a tinier
+    ``rel_tol`` would only split panels to the depth limit.  One cumulative
+    sum of the 12-point values gives every radius.
     """
     if radii[-1] > profile.r_max:
         raise DomainTooShort(f"radius d={radii[-1]} exceeds the profile's r_max={profile.r_max}")
-    eps = min(rel_tol, 1e-8) * 1e-2
+    eps = max(min(rel_tol, 1e-8) * 1e-2, _REL_FLOOR)
     n = profile.params.n
     t_lo = math.log(min(profile.r_min, radii[0]) if profile.r_min > 0.0 else radii[0])
     knots = np.unique(np.concatenate([[t_lo - 40 / (n + 1), t_lo], np.log(radii)]))

@@ -160,6 +160,32 @@ def test_nonminimizing_verdict_at_tight_quadrature_tolerance(npk):
         L.density_report(prof, [1.0], rel_tol=1e-10).theta_seq, rel=1e-14)
 
 
+def test_a_tiny_rel_tol_reads_no_more_panels_than_its_floor(monkeypatch):
+    # the split threshold is floored at 100 eps of the total: without the
+    # floor, rel_tol = 1e-300 read 227,396 panels on default (3,2,4), and
+    # moved the first density in its last bits
+    p = L.validate_params(3, 2, 4)
+    orbit = L.integrate_orbit(p, L.seed_unstable(p))
+    prof = L.extract_profile(orbit, p)
+    panel_sums, panels = geometry._panel_sums, []
+
+    def counted(profile, a, b):
+        panels.append(len(a))
+        return panel_sums(profile, a, b)
+
+    monkeypatch.setattr(geometry, "_panel_sums", counted)
+    read = {}
+    for rel_tol in (1e-12, 1e-16, 1e-300):
+        panels.clear()
+        read[rel_tol] = sum(panels), L.nonminimizing_verdict(prof, orbit, p, rel_tol=rel_tol)
+    assert read[1e-16][0] <= read[1e-12][0] and read[1e-300][0] <= read[1e-12][0]
+    assert read[1e-300][1] == read[1e-12][1]
+    # at the default rel_tol the floor is not reached: the same floats without it
+    default = L.nonminimizing_verdict(prof, orbit, p)
+    monkeypatch.setattr(geometry, "_REL_FLOOR", 0.0)
+    assert L.nonminimizing_verdict(prof, orbit, p) == default
+
+
 def test_nonminimizing_wrong_type(profile_322, orbit_322, p322):
     with pytest.raises(L.WrongType):
         L.nonminimizing_verdict(profile_322, orbit_322, p322)

@@ -528,6 +528,84 @@ def test_dop853_step_table_does_not_depend_on_events(tol, monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(steps, free[2]))
 
 
+@pytest.mark.parametrize("tol", [Tolerances(), TIGHT], ids=["default", "tight"])
+def test_dop853_carries_only_the_terminal_events_through_the_loop(tol, monkeypatch):
+    # integrate_orbit's four events, spied on: in the loop each terminal g is
+    # called once per node, on floats; each non-terminal g is called once after
+    # the run, on the node arrays; brentq then calls the g's of marked steps
+    phi0 = _P324.phi0
+    cap_phi, cap_psi = max(5.0 * phi0, 1.0), max(5.0 * phi0, 10.0)
+    calls = []
+
+    def spied(name, g):
+        def spy(phi, psi):
+            calls.append((name, np.shape(phi)))
+            return g(phi, psi)
+        return spy
+
+    events = (
+        (spied("psi", lambda phi, psi: psi), 0, False),
+        (spied("phi0", lambda phi, psi: phi - phi0), 0, False),
+        (spied("ball", lambda phi, psi: math.hypot(phi - phi0, psi) - tol.conv_radius),
+         -1, True),
+        (spied("exit", lambda phi, psi: max(abs(phi) / cap_phi, abs(psi) / cap_psi) - 1.0),
+         1, True),
+    )
+    dense = dynamics._dense_output
+
+    def counted_dense(K, h, y_old, y_new, params):
+        calls.append(("dense", len(h)))
+        return dense(K, h, y_old, y_new, params)
+
+    monkeypatch.setattr(dynamics, "_dense_output", counted_dense)
+    seed = L.seed_unstable(_P324)
+    t, _, _, t_events, status, _ = _dop853_and_reference(
+        _P324, (seed.phi, seed.psi), 200.0, tol, events)
+    assert status == 1 and len(t_events[2]) == 1 and t_events[0] and t_events[1]
+    end = calls.index(("dense", len(t) - 1))
+    nodes = len(t)
+    run, after = calls[:end], calls[end + 1:]
+    for name in ("ball", "exit"):
+        assert run.count((name, ())) == nodes
+        assert all(shape == () for n, shape in calls if n == name)
+    assert {name for name, _ in run} == {"ball", "exit"}
+    for name in ("psi", "phi0"):
+        assert [shape for n, shape in after if n == name and shape != ()] == [(nodes,)]
+
+
+@pytest.mark.parametrize("tol", [Tolerances(), TIGHT], ids=["default", "tight"])
+def test_dop853_matches_solve_ivp_on_directed_events(tol):
+    # psi = 0 and phi = phi0 are met both ways on the (3,2,4) spiral: the
+    # directed non-terminal events each keep their own half of the roots
+    phi0 = _P324.phi0
+    ball = lambda phi, psi: math.hypot(phi - phi0, psi) - tol.conv_radius  # noqa: E731
+    events = [(g, d, False) for g in (lambda phi, psi: psi, lambda phi, psi: phi - phi0)
+              for d in (1, -1, 0)] + [(ball, -1, True)]
+    seed = L.seed_unstable(_P324)
+    _, _, _, t_events, status, _ = _dop853_and_reference(
+        _P324, (seed.phi, seed.psi), 200.0, tol, events)
+    assert status == 1
+    for up, down, both in (t_events[:3], t_events[3:6]):
+        assert up and down and not set(up) & set(down)
+        assert sorted(up + down) == both
+
+
+def test_crosses_takes_arrays_and_floats_alike():
+    # solve_ivp's rule, as scipy writes it, on every sign pair with zeros of
+    # both signs and NaN; the array call is the float call element by element
+    from scipy.integrate._ivp.ivp import find_active_events
+
+    values = [-1.0, -0.0, 0.0, 1.0, math.nan]
+    grid = [(d, a, b) for d in (-1, 0, 1) for a in values for b in values]
+    d, a, b = (np.array(col) for col in zip(*grid))
+    on_arrays = dynamics._crosses(d, a, b)
+    assert on_arrays.shape == (len(grid),)
+    for got, (d, a, b) in zip(on_arrays.tolist(), grid):
+        scalar = dynamics._crosses(d, a, b)
+        assert type(scalar) is bool and scalar == got
+        assert got == (find_active_events(np.array([a]), np.array([b]), np.array([d])).size > 0)
+
+
 def test_interpolant_steps_end_at_the_stored_step_ends(p322):
     # -0.1 + (0.3 - -0.1) is 0.30000000000000004: a step rebuilt as t_old + h
     # would end past its stored end, and its h would not be the solver's

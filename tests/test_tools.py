@@ -1,14 +1,22 @@
-"""The digest tool that compares CLI outputs between two checkouts."""
+"""The digest tools that compare CLI outputs and orbits between two checkouts."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
-_spec = importlib.util.spec_from_file_location("cli_digest", _PATH)
-cli_digest = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(cli_digest)
+
+def _load(name: str):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+cli_digest, orbit_digest = _load("cli_digest"), _load("orbit_digest")
 
 
 def test_cli_digest_runs_74_commands():
@@ -21,3 +29,17 @@ def test_cli_digest_does_not_depend_on_the_temporary_directory():
     argv = ["sweep", "--format", "csv"]
     assert cli_digest._digest(argv) == cli_digest._digest(argv)
     assert cli_digest._digest(argv) != cli_digest._digest(["sweep", "--format", "json"])
+
+
+def _orbit_digest_output() -> list[str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        orbit_digest.main()
+    return out.getvalue().splitlines()
+
+
+def test_orbit_digest_prints_24_distinct_lines_the_same_each_time():
+    lines = _orbit_digest_output()
+    assert len(lines) == 24 and len(set(lines)) == 24
+    assert len({line.split()[-1] for line in lines}) == 24
+    assert _orbit_digest_output() == lines
