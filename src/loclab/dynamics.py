@@ -6,21 +6,20 @@ phi = rho/r, t = log r, psi = phi_t as the autonomous system
     phi_t = psi
     psi_t = -psi - (f2(phi) psi - f1(phi) phi) (1 + (phi+psi)^2)
 
-whose equilibria are the origin and (+-phi0, 0).  This module integrates
-orbits on the unstable manifold of the origin, records psi-zero and
-phi0-crossing events, converts converged orbits back into graph profiles,
-and certifies the invariant-region barriers for both stability types.
+whose equilibria are the origin and (+-phi0, 0).  This module holds the
+model: the field, the seed on the unstable manifold of the origin, the
+orbits that ``dop853.solve`` integrates from it with their psi-zero and
+phi0-crossing events, the graph profiles of converged orbits and their
+residuals, and the invariant-region barriers for both stability types.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .errors import (
     WrongCase,
 )
 from .params import LomseParams, Stability
-from .roots import brentq
 
 
 @dataclass(frozen=True)
@@ -111,25 +109,6 @@ def seed_unstable(params: LomseParams, epsilon: float = 1e-8) -> PhasePoint:
     return PhasePoint(phi=epsilon, psi=epsilon * (params.k - 1), t=0.0)
 
 
-_EPS = float(np.finfo(float).eps)
-
-
-class StepTable(NamedTuple):
-    """The DOP853 dense output of an orbit's solver steps, stacked: per step,
-    its start ``t_old``, its end ``t_new`` (past the orbit's last node when a
-    terminal event cut the step short), the state ``y_old`` at its start,
-    shape (N, 2), and the coefficients ``F``, shape (N, 7, 2).  On step i
-    the state is y_old + x (F0 + (1 - x)(F1 + x (F2 + ...))) with
-    x = (t - t_old) / h and h = t_new - t_old (Hairer-Norsett-Wanner I, II.6).
-    ``_dop853`` builds ``F`` after the run, for all steps at once, and then
-    locates the event roots on it."""
-
-    t_old: np.ndarray
-    t_new: np.ndarray
-    y_old: np.ndarray
-    F: np.ndarray
-
-
 @dataclass(frozen=True)
 class Orbit:
     """An integrated orbit: the solver nodes ``t`` with their states, the
@@ -147,7 +126,7 @@ class Orbit:
     terminal: Terminal
     params: LomseParams
     tolerances: Tolerances
-    steps: StepTable = field(repr=False)
+    steps: dop853.StepTable = field(repr=False)
 
     @cached_property
     def interpolant(self):
@@ -163,252 +142,11 @@ class Orbit:
                                               s.y_old, s.F)])
 
     def read(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """(phi, psi) and their t-derivatives at a time or an array of times,
-        each of shape (2,) + t.shape, in one pass over the step table.  The
-        segment rule is ``OdeSolution``'s for either direction of integration,
-        and the values come from scipy's alternating x / (1 - x) Horner loop
-        in its own order, so they equal ``interpolant(t)`` bit for bit; the
-        product rule carries d/dx through the same loop (the step polynomial's
-        derivative, not the field at the read state, which would make a
-        residual vacuous)."""
-        ts, s = self.t, self.steps
-        t = np.asarray(t, dtype=float)
-        way = 1.0 if ts[-1] >= ts[0] else -1.0
-        seg = np.clip(np.searchsorted(way * ts, way * t, side="left") - 1, 0, len(ts) - 2)
-        t_old = s.t_old[seg]
-        h = (s.t_new[seg] - t_old)[..., None]
-        x = (t - t_old)[..., None] / h
-        coef = s.F[seg]
-        y = np.zeros(t.shape + (2,))
-        dy = np.zeros(t.shape + (2,))
-        for i in range(7):
-            y += coef[..., 6 - i, :]
-            m, dm = (x, 1.0) if i % 2 == 0 else (1 - x, -1.0)
-            dy = dy * m + dm * y
-            y *= m
-        y += s.y_old[seg]
-        return np.moveaxis(y, -1, 0), np.moveaxis(dy / h, -1, 0)
+        """(phi, psi) and their t-derivatives at ``t``: ``StepTable.read``."""
+        return self.steps.read(t)
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
-
-
-# DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.5) as scipy runs it, with
-# scipy's tableau and step-size control constants (``dop853``)
-_EXPONENT = -1.0 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
-_STAGES = dop853.N_STAGES
-
-
-def _fill_stages(plan, y0, y1, h, params):
-    """K[s] = X(y + h K[:s]^T a) along a stage plan, whose entries are the
-    bound product ``K[:s].T.dot``, the tableau row a[:s] and the row K[s]; the
-    field is autonomous, so the stage nodes c never enter.  The dot product is
-    ``ndarray.dot``, the C product that scipy's ``np.dot`` calls, without
-    ``np.dot``'s dispatcher, so its rounding is scipy's; the rest is the same
-    IEEE arithmetic on Python floats."""
-    field = vector_field
-    for dot, a, row in plan:
-        d0, d1 = dot(a).tolist()
-        row[0], row[1] = field(y0 + d0 * h, y1 + d1 * h, params)
-
-
-def _initial_step(t0, y, f, t_bound, direction, rtol, atol, params):
-    """scipy's ``select_initial_step`` (Hairer-Norsett-Wanner II.4), in numpy."""
-    y, f = np.array(y), np.array(f)
-    interval = abs(t_bound - t0)
-    scale = atol + np.abs(y) * rtol
-    d0 = np.linalg.norm(y / scale) / 2 ** 0.5
-    d1 = np.linalg.norm(f / scale) / 2 ** 0.5
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    y1 = (y + h0 * direction * f).tolist()
-    f1 = np.array(vector_field(*y1, params))
-    d2 = np.linalg.norm((f1 - f) / scale) / 2 ** 0.5 / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
-    return float(min(100 * h0, h1, interval))
-
-
-def _step_state(t_old, h, y_old, F):
-    """The state at time t on one step, as a function of t: scipy's
-    alternating x / (1 - x) Horner loop, with the same IEEE operations in the
-    same order on Python floats, so the values are ``Dop853DenseOutput``'s."""
-    rows = F.tolist()[::-1]
-    o0, o1 = y_old
-
-    def state(t):
-        x = (t - t_old) / h
-        u = 1 - x
-        y0 = y1 = 0.0
-        for (f0, f1), m in zip(rows, (x, u, x, u, x, u, x)):
-            y0 = (y0 + f0) * m
-            y1 = (y1 + f1) * m
-        return y0 + o0, y1 + o1
-
-    return state
-
-
-def _dense_output(K, h, y_old, y_new, params):
-    """The dense-output coefficients F, shape (N, 7, 2), of N accepted steps
-    at once, from their stages ``K``, shape (N, 13, 2) (the 12 stages and the
-    field at the step's end), their sizes ``h`` and their start and end
-    states, each (N, 2): scipy's 3 extra stages, one array field call each,
-    then F = (dy, h f_old - dy, 2 dy - h (f_new + f_old), h D K).  Each stage
-    state comes from a stacked ``np.matmul``, which gives each step the same
-    product as scipy's ``np.dot``, and each element of an array field call is
-    the scalar call's value, so row i is step i's ``Dop853DenseOutput.F``."""
-    full = np.empty((len(h), _STAGES + 1 + len(dop853.A_EXTRA), 2))
-    full[:, :_STAGES + 1] = K
-    hc = h[:, None]
-    for s, a in enumerate(dop853.A_EXTRA, start=_STAGES + 1):
-        phi, psi = (y_old + np.matmul(full[:, :s].transpose(0, 2, 1), a[:s]) * hc).T
-        full[:, s, 0], full[:, s, 1] = vector_field(phi, psi, params)
-    dy = y_new - y_old
-    f_old, f_new = full[:, 0], full[:, _STAGES]
-    F = np.empty((len(h), 7, 2))
-    F[:, 0] = dy
-    F[:, 1] = hc * f_old - dy
-    F[:, 2] = 2 * dy - hc * (f_new + f_old)
-    F[:, 3:] = h[:, None, None] * np.matmul(dop853.D, full)
-    return F
-
-
-def _crosses(direction, a, b):
-    """solve_ivp's event rule: g goes from ``a`` to ``b`` through zero in
-    ``direction``.  Written with ``&`` and ``|``, so it takes floats and
-    arrays that broadcast together alike, with the same answer per element."""
-    return (((direction >= 0) & (a <= 0) & (b >= 0))
-            | ((direction <= 0) & (a >= 0) & (b <= 0)))
-
-
-def _dop853(params, t0, y, t_bound, rtol, atol, events):
-    """Integrate X from state ``y`` at ``t0`` towards ``t_bound``, step for
-    step as ``solve_ivp(method="DOP853", dense_output=True)`` does.
-
-    ``events`` holds ``(g(phi, psi), direction, terminal)`` triples.  The loop
-    only steps: per accepted step it keeps the end node, the 13 stage rows and
-    the terminal g values there, and it stops after the first step on which a
-    terminal g changes sign.  After the run ``_dense_output`` builds every
-    step's coefficients in one batched pass.  Each non-terminal g is called
-    once, on the arrays of the nodes' phi and psi, so it must accept arrays
-    and give each element the value of the scalar call.  One array pass of
-    ``_crosses`` over the (nodes x events) g values then marks the steps on
-    which some g changes sign, and ``brentq`` locates each of those roots on
-    its step's dense output.  On the terminal step the roots are kept in time
-    order up to the first terminal one, where the last node moves (the step
-    is dropped when that root is its start).  Returns the
-    times, the (2, N) states, the ``StepTable``, the event times per event,
-    the status (0 reached t_bound, 1 terminal event, -1 failed) and a message.
-    """
-    if rtol < 100 * _EPS:
-        warnings.warn("At least one element of `rtol` is too small. "
-                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
-                      stacklevel=3)
-        rtol = 100 * _EPS
-    if atol < 0:
-        raise ValueError("`atol` must be positive.")
-    direction = 1.0 if t_bound > t0 else -1.0
-    K = np.empty((_STAGES + 1, 2))
-    stages = [(K[:s].T.dot, a[:s], K[s]) for s, a in enumerate(dop853.A[1:], start=1)]
-    B, E3, E5 = dop853.B, dop853.E3, dop853.E5
-    kt_b, kt_e = K[:_STAGES].T, K.T
-    # rows set element by element: a float per item is cheaper than a tuple per row
-    k_first, k_last = K[0], K[_STAGES]
-    y0, y1 = y
-    f = vector_field(y0, y1, params)
-    h_abs = _initial_step(t0, y, f, t_bound, direction, rtol, atol, params)
-    t = t0
-    term = [i for i, (_, _, terminal) in enumerate(events) if terminal]
-    term_g, term_d = [events[i][0] for i in term], [events[i][1] for i in term]
-    # per node its time, state and terminal g values; per accepted step its stages
-    ts, ys, Ks = [t0], [(y0, y1)], []
-    g_old = [g(y0, y1) for g in term_g]
-    gs = [g_old]
-    status, message = None, None
-    toward = direction * math.inf
-    while status is None:
-        min_step = 10 * abs(math.nextafter(t, toward) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                status, message = -1, dop853.TOO_SMALL_STEP
-                break
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            k_first[0], k_first[1] = f
-            _fill_stages(stages, y0, y1, h, params)
-            d0, d1 = kt_b.dot(B).tolist()
-            n0, n1 = y0 + h * d0, y1 + h * d1
-            f_new = vector_field(n0, n1, params)
-            k_last[0], k_last[1] = f_new
-            scale = np.array((atol + max(abs(y0), abs(n0)) * rtol,
-                              atol + max(abs(y1), abs(n1)) * rtol))
-            # np.linalg.norm of a real vector is sqrt(v.dot(v)), rounding included
-            v5, v3 = kt_e.dot(E5) / scale, kt_e.dot(E3) / scale
-            err5, err3 = math.sqrt(v5.dot(v5)) ** 2, math.sqrt(v3.dot(v3)) ** 2
-            if err5 == 0 and err3 == 0:
-                err = 0.0
-            else:
-                err = abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 2)
-            if err < 1:
-                factor = (dop853.MAX_FACTOR if err == 0
-                          else min(dop853.MAX_FACTOR, dop853.SAFETY * err ** _EXPONENT))
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(dop853.MIN_FACTOR, dop853.SAFETY * err ** _EXPONENT)
-            rejected = True
-        if status == -1:
-            break
-        t, y0, y1, f = t_new, n0, n1, f_new
-        if direction * (t - t_bound) >= 0:
-            status = 0
-        ts.append(t)
-        ys.append((y0, y1))
-        Ks.append(K.copy())
-        g_new = [g(y0, y1) for g in term_g]
-        gs.append(g_new)
-        if any(map(_crosses, term_d, g_old, g_new)):
-            status = 1
-        g_old = g_new
-    t_all, y_all = np.array(ts), np.array(ys)
-    F = _dense_output(np.array(Ks).reshape(len(Ks), _STAGES + 1, 2), t_all[1:] - t_all[:-1],
-                      y_all[:-1], y_all[1:], params)
-    steps = StepTable(t_all[:-1], t_all[1:], y_all[:-1], F)
-    # every g at every node: the terminal columns from the loop, the others in one call each
-    g_nodes = np.empty((len(ts), len(events)))
-    g_nodes[:, term] = gs
-    for i, (g, _, terminal) in enumerate(events):
-        if not terminal:
-            g_nodes[:, i] = g(y_all[:, 0], y_all[:, 1])
-    marked = _crosses(np.array([d for _, d, _ in events]), g_nodes[:-1], g_nodes[1:])
-    # the roots, step by step, in solve_ivp's order
-    t_events = [[] for _ in events]
-    for j in np.flatnonzero(marked.any(axis=1)).tolist():
-        active = np.flatnonzero(marked[j]).tolist()
-        t_old, t_new = ts[j], ts[j + 1]
-        step = _step_state(t_old, t_new - t_old, ys[j], F[j])
-        roots = [(brentq(lambda s, ev=events[i][0]: ev(*step(s)), t_old, t_new,
-                         xtol=4 * _EPS, rtol=4 * _EPS), i) for i in active]
-        if status == 1 and j == len(Ks) - 1:
-            # in time order, up to and including the first terminal root
-            roots.sort(key=lambda r: r[0] * direction)
-            stop = next(k for k, (_, i) in enumerate(roots) if events[i][2])
-            roots = roots[:stop + 1]
-            t_end = roots[-1][0]
-            if j > 0 and t_end == t_old:  # the root is a node: scipy's donot_append
-                del ts[-1], ys[-1]
-                steps = StepTable(*(col[:-1] for col in steps))
-            else:
-                ts[-1], ys[-1] = t_end, step(t_end)
-        for te, i in roots:
-            t_events[i].append(te)
-    return np.array(ts), np.array(ys).T, steps, t_events, status, message
 
 
 def integrate_orbit(
@@ -421,18 +159,19 @@ def integrate_orbit(
     (phi0, 0), domain exit, or t_max (backward when t_max < 0).
 
     Uses the 8th-order adaptive Dormand-Prince scheme DOP853 with dense
-    output (``_dop853``).  The step loop only steps, and evaluates only the
+    output (``dop853.solve``).  The step loop only steps, and evaluates only the
     two terminal events (ball entry and domain exit) at each node.  After the
     run the dense output of every step is built in one pass, the psi and
     phi - phi0 event functions are each called once on the node arrays, and
     events (psi = 0 crossings, phi = phi0 crossings) are located by
     root-finding on the dense output of each step where an event function
-    changes sign.  The event points are read with ``Orbit.read``.
+    changes sign.  The event points are read with ``StepTable.read``.
     Convergence is declared when
     the state enters the ball of radius ``conv_radius`` around (phi0, 0):
     that equilibrium is a hyperbolic sink for every triple (tr B = -(n+1) < 0
     and det B = 2n(K-n)/K > 0 since K = k(k+n-1) > n), so entering the ball
-    is the whole rule, for nodes and spirals alike.
+    is the whole rule, for nodes and spirals alike.  ``ValueError`` for a
+    non-finite tolerance or a ``conv_radius`` that is not positive.
     """
     tol = tolerances or Tolerances()
     if not (math.isfinite(seed.phi) and math.isfinite(seed.psi)
@@ -440,9 +179,13 @@ def integrate_orbit(
         raise NonFiniteState(f"seed is not finite: {seed}")
     if not (t_max > 0 or t_max < 0):
         raise ValueError(f"t_max must be nonzero, got {t_max}")
+    for name in ("abs_tol", "rel_tol"):
+        if not math.isfinite(getattr(tol, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(tol, name)}")
+    if not 0 < tol.conv_radius < math.inf:
+        raise ValueError(f"conv_radius must be finite and positive, got {tol.conv_radius}")
     phi0 = params.phi0
-    cap_phi = max(5.0 * phi0, 1.0)
-    cap_psi = max(5.0 * phi0, 10.0)
+    cap_phi, cap_psi = max(5.0 * phi0, 1.0), max(5.0 * phi0, 10.0)
     conv = tol.conv_radius
     event_fns = (  # (g(phi, psi), direction, terminal); the non-terminal g's take arrays
         (lambda phi, psi: psi, 0, False),
@@ -450,8 +193,8 @@ def integrate_orbit(
         (lambda phi, psi: math.hypot(phi - phi0, psi) - conv, -1, True),
         (lambda phi, psi: max(abs(phi) / cap_phi, abs(psi) / cap_psi) - 1.0, 1, True),
     )
-    t, y, steps, t_events, status, message = _dop853(
-        params, float(seed.t), (float(seed.phi), float(seed.psi)),
+    t, y, steps, t_events, status, message = dop853.solve(
+        vector_field, params, float(seed.t), (float(seed.phi), float(seed.psi)),
         float(seed.t + t_max), tol.rel_tol, tol.abs_tol, event_fns)
     if status == -1:
         if not np.all(np.isfinite(y)):
@@ -467,16 +210,15 @@ def integrate_orbit(
     else:
         terminal = Terminal.MAX_TIME_REACHED
 
-    orbit = Orbit(t=t, phi=y[0], psi=y[1], events=[], terminal=terminal,
-                  params=params, tolerances=tol, steps=steps)
     kinds = ([EventKind.PSI_ZERO] * len(t_events[0])
              + [EventKind.PHI_EQUALS_PHI0] * len(t_events[1]))
     t_ev = t_events[0] + t_events[1]
-    (phi, psi), _ = orbit.read(t_ev)
+    (phi, psi), _ = steps.read(t_ev)
     events = [Event(kind, te, PhasePoint(a, b, te))
               for kind, te, a, b in zip(kinds, t_ev, phi.tolist(), psi.tolist())]
     events.sort(key=lambda e: e.t)
-    return replace(orbit, events=events)
+    return Orbit(t=t, phi=y[0], psi=y[1], events=events, terminal=terminal,
+                 params=params, tolerances=tol, steps=steps)
 
 
 def oscillation_record(orbit: Orbit) -> tuple[list[float], list[float]]:

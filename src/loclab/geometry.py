@@ -171,7 +171,7 @@ def _graph_volumes(profile, radii: np.ndarray, rel_tol: float) -> np.ndarray:
     e^-40 ~ 4.2e-18 of the total, below rounding.  Panels where the 8- and
     12-point rules differ by more than a hundredth of ``rel_tol`` (capped at
     1e-8) of the total are bisected and read again, at most 20 times.  That
-    threshold is floored at 100 machine epsilons of the total, as ``_dop853``
+    threshold is floored at 100 machine epsilons of the total, as ``dop853.solve``
     floors ``rtol``: below it the rules differ by their rounding, so a tinier
     ``rel_tol`` would only split panels to the depth limit.  One cumulative
     sum of the 12-point values gives every radius.

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import loclab as L
-from loclab.dynamics import EventKind, StepTable, Tolerances
+from loclab.dop853 import StepTable
+from loclab.dynamics import EventKind, Tolerances
 
 # tight enough to resolve the fourth oscillation of the (3,2,4) spiral
 TIGHT = Tolerances(abs_tol=1e-13, rel_tol=1e-13, conv_radius=1e-11)

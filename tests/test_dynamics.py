@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 from scipy.integrate import solve_ivp
 
 import loclab as L
-from loclab import dynamics
-from loclab.dynamics import Event, EventKind, Orbit, StepTable, Terminal, Tolerances
+from loclab import dop853, dynamics
+from loclab.dop853 import StepTable
+from loclab.dynamics import Event, EventKind, Orbit, Terminal, Tolerances
 from conftest import SWEEP, TIGHT, step_table
 
 FINITE = st.floats(-3.0, 3.0, allow_nan=False)
@@ -440,7 +441,7 @@ def test_dop853_matches_solve_ivp(npk, seed, t_max, tol, monkeypatch):
 
 
 def test_dop853_matches_solve_ivp_at_the_rtol_floor():
-    # scipy raises rtol to 100 eps with a warning; _dop853 does the same
+    # scipy raises rtol to 100 eps with a warning; dop853.solve does the same
     tol = Tolerances(abs_tol=1e-10, rel_tol=1e-20)
     seed = L.seed_unstable(_P324)
     with pytest.warns(UserWarning, match="rtol") as ref_warned:
@@ -475,10 +476,34 @@ def test_integrate_orbit_rejects_degenerate_t_max(t_max):
         L.integrate_orbit(_P322, L.seed_unstable(_P322), t_max=t_max)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("abs_tol", math.nan), ("abs_tol", math.inf), ("rel_tol", math.nan), ("rel_tol", math.inf),
+    ("rel_tol", -math.inf), ("conv_radius", math.nan), ("conv_radius", 0.0),
+    ("conv_radius", -1.0), ("conv_radius", math.inf)])
+def test_integrate_orbit_refuses_a_bad_tolerance(name, value, monkeypatch):
+    # refused before the solver is reached: a NaN tolerance keeps the step
+    # size NaN, so the step loop never ends, and a ball radius that is not
+    # finite and positive is never entered, so the run says MaxTimeReached
+    def unreachable(*args):
+        raise AssertionError("the solver was reached")
+
+    monkeypatch.setattr(dop853, "solve", unreachable)
+    tol = Tolerances(**{name: value})
+    with pytest.raises(ValueError, match=f"{name} .*got {value}"):
+        L.integrate_orbit(_P322, L.seed_unstable(_P322), tolerances=tol)
+
+
+def test_integrate_orbit_leaves_a_negative_abs_tol_to_the_solver():
+    # scipy's rule, kept in dop853.solve: atol < 0 raises there
+    with pytest.raises(ValueError, match="`atol` must be positive"):
+        L.integrate_orbit(_P322, L.seed_unstable(_P322), tolerances=Tolerances(abs_tol=-1e-10))
+
+
 def _dop853_and_reference(params, y0, t_max, tol, event_fns):
-    """``dynamics._dop853`` and ``solve_ivp`` on the same events, given as
+    """``dop853.solve`` and ``solve_ivp`` on the same events, given as
     (g(phi, psi), direction, terminal) triples."""
-    got = dynamics._dop853(params, 0.0, y0, t_max, tol.rel_tol, tol.abs_tol, event_fns)
+    got = dop853.solve(dynamics.vector_field, params, 0.0, y0, t_max, tol.rel_tol, tol.abs_tol,
+                       event_fns)
     wrapped = []
     for g, direction, terminal in event_fns:
         def ev(t, y, g=g):
@@ -504,25 +529,26 @@ def test_dop853_step_table_does_not_depend_on_events(tol, monkeypatch):
     phi0 = _P324.phi0
     events = ((lambda phi, psi: psi, 0, False), (lambda phi, psi: phi - phi0, 0, False))
     y0 = (1e-8, 3e-8)
-    dense, root, calls = dynamics._dense_output, dynamics.brentq, []
+    dense, root, calls = dop853._dense_output, dop853.brentq, []
 
-    def counted_dense(K, h, y_old, y_new, params):
+    def counted_dense(K, h, y_old, y_new, field, params):
         calls.append(("dense", len(h)))
-        return dense(K, h, y_old, y_new, params)
+        return dense(K, h, y_old, y_new, field, params)
 
     def counted_root(f, a, b, **kwargs):
         calls.append(("brentq", None))
         return root(f, a, b, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_dense_output", counted_dense)
-    monkeypatch.setattr(dynamics, "brentq", counted_root)
-    t, _, steps, t_events, status, _ = dynamics._dop853(
-        _P324, 0.0, y0, 200.0, tol.rel_tol, tol.abs_tol, events)
+    monkeypatch.setattr(dop853, "_dense_output", counted_dense)
+    monkeypatch.setattr(dop853, "brentq", counted_root)
+    t, _, steps, t_events, status, _ = dop853.solve(
+        dynamics.vector_field, _P324, 0.0, y0, 200.0, tol.rel_tol, tol.abs_tol, events)
     assert status == 0 and len(t_events[0]) >= 2 and len(t_events[1]) >= 2
     n_roots = len(t_events[0]) + len(t_events[1])
     assert calls == [("dense", len(t) - 1)] + [("brentq", None)] * n_roots
     calls.clear()
-    free = dynamics._dop853(_P324, 0.0, y0, 200.0, tol.rel_tol, tol.abs_tol, ())
+    free = dop853.solve(dynamics.vector_field, _P324, 0.0, y0, 200.0, tol.rel_tol, tol.abs_tol,
+                        ())
     assert calls == [("dense", len(t) - 1)]
     assert np.array_equal(free[0], t)
     assert all(np.array_equal(a, b) for a, b in zip(steps, free[2]))
@@ -551,13 +577,13 @@ def test_dop853_carries_only_the_terminal_events_through_the_loop(tol, monkeypat
         (spied("exit", lambda phi, psi: max(abs(phi) / cap_phi, abs(psi) / cap_psi) - 1.0),
          1, True),
     )
-    dense = dynamics._dense_output
+    dense = dop853._dense_output
 
-    def counted_dense(K, h, y_old, y_new, params):
+    def counted_dense(K, h, y_old, y_new, field, params):
         calls.append(("dense", len(h)))
-        return dense(K, h, y_old, y_new, params)
+        return dense(K, h, y_old, y_new, field, params)
 
-    monkeypatch.setattr(dynamics, "_dense_output", counted_dense)
+    monkeypatch.setattr(dop853, "_dense_output", counted_dense)
     seed = L.seed_unstable(_P324)
     t, _, _, t_events, status, _ = _dop853_and_reference(
         _P324, (seed.phi, seed.psi), 200.0, tol, events)
@@ -598,10 +624,10 @@ def test_crosses_takes_arrays_and_floats_alike():
     values = [-1.0, -0.0, 0.0, 1.0, math.nan]
     grid = [(d, a, b) for d in (-1, 0, 1) for a in values for b in values]
     d, a, b = (np.array(col) for col in zip(*grid))
-    on_arrays = dynamics._crosses(d, a, b)
+    on_arrays = dop853._crosses(d, a, b)
     assert on_arrays.shape == (len(grid),)
     for got, (d, a, b) in zip(on_arrays.tolist(), grid):
-        scalar = dynamics._crosses(d, a, b)
+        scalar = dop853._crosses(d, a, b)
         assert type(scalar) is bool and scalar == got
         assert got == (find_active_events(np.array([a]), np.array([b]), np.array([d])).size > 0)
 
@@ -627,7 +653,8 @@ def test_dop853_drops_the_step_whose_terminal_root_is_its_start():
     # root is found only in the second step, at its start: that step is dropped
     tol = Tolerances()
     y0 = (1e-8, 1e-8)
-    free = dynamics._dop853(_P322, 0.0, y0, 200.0, tol.rel_tol, tol.abs_tol, ())
+    free = dop853.solve(dynamics.vector_field, _P322, 0.0, y0, 200.0, tol.rel_tol, tol.abs_tol,
+                        ())
     phi1 = free[1][0, 1]
     t, *_ = _dop853_and_reference(_P322, y0, 200.0, tol,
                                   ((lambda phi, psi: -(phi - phi1) ** 2, -1, True),))
@@ -639,7 +666,8 @@ def test_dop853_ends_a_backward_run_at_the_latest_terminal_root():
     # going backward (the larger t) ends the run
     tol = Tolerances(abs_tol=1e-16, rel_tol=1e-12)
     y0 = (1e-8, 3e-8)
-    free = dynamics._dop853(_P324, 0.0, y0, -5.0, tol.rel_tol, tol.abs_tol, ())
+    free = dop853.solve(dynamics.vector_field, _P324, 0.0, y0, -5.0, tol.rel_tol, tol.abs_tol,
+                        ())
     a, b = free[1][0, :2]
     near, far = a + 0.25 * (b - a), a + 0.75 * (b - a)
     t, _, _, t_events, status, _ = _dop853_and_reference(

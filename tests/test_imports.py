@@ -30,7 +30,8 @@ import contextlib, io, json, sys
 {body}
 print(json.dumps({{"code": code, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
-    "numpy.polynomial": "numpy.polynomial" in sys.modules}}))
+    "numpy.polynomial": "numpy.polynomial" in sys.modules,
+    "loclab": sorted(m for m in sys.modules if m.startswith("loclab."))}}))
 """
 
 
@@ -50,6 +51,21 @@ def test_import_loclab_loads_no_scipy():
 
 def test_import_loclab_loads_no_numpy_polynomial():
     assert _run("import loclab\ncode = 0")["numpy.polynomial"] is False
+
+
+def test_dop853_imports_no_model():
+    # the package's __init__ imports every module, so the probe registers the
+    # package without running it; then dop853 loads only what it imports
+    init = SRC / "loclab" / "__init__.py"
+    body = ("import importlib.util\n"
+            f"spec = importlib.util.spec_from_file_location('loclab', {str(init)!r},\n"
+            f"    submodule_search_locations=[{str(init.parent)!r}])\n"
+            "sys.modules['loclab'] = importlib.util.module_from_spec(spec)\n"
+            "import loclab.dop853\n"
+            "code = 0")
+    got = _run(body)
+    assert got["loclab"] == ["loclab.dop853", "loclab.roots"]
+    assert got["scipy"] == []
 
 
 _TRIPLE = ["--n", "3", "--p", "2", "--k", "4"]  # a spiral (TypeII)

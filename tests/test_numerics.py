@@ -38,7 +38,7 @@ def test_shipped_constants_equal_scipys():
 
 @pytest.fixture
 def both_brentqs(monkeypatch):
-    """Every ``brentq`` call of dynamics and dirichlet runs the port and
+    """Every ``brentq`` call of dop853 and dirichlet runs the port and
     scipy on the same function and bracket; the pairs of results are
     recorded and the port's is used."""
     pairs = []
@@ -48,7 +48,7 @@ def both_brentqs(monkeypatch):
         pairs.append((ours, scipy_brentq(f, a, b, **kwargs)))
         return ours
 
-    for module in (dynamics, dirichlet):
+    for module in (dop853, dirichlet):
         monkeypatch.setattr(module, "brentq", both)
     return pairs
 

@@ -5,7 +5,8 @@ the default, TIGHT (rtol = atol = 1e-13, conv_radius = 1e-11, as in the test
 suite and the benchmark) and rtol = atol = 1e-8, where the TypeI tails carry
 many events.  For each of the 24 orbits it prints the triple, the tolerance's
 name and the sha256 of the node times t, phi and psi, every ``StepTable``
-column, the terminal and the event list, all bit for bit.  Run from the
+column, the states and t-derivatives that ``Orbit.read`` gives at the
+midpoint of each step, the terminal and the event list, all bit for bit.  Run from the
 repository root of each checkout, with no arguments, and compare the two
 outputs:
 
@@ -33,12 +34,15 @@ TOLERANCES = {
 
 
 def _digest(npk: tuple[int, int, int], name: str) -> str:
-    """sha256 of one orbit's nodes, step table, terminal and events."""
+    """sha256 of one orbit's nodes, step table, midpoint reads, terminal and
+    events."""
     params = L.validate_params(*npk)
     orbit = L.integrate_orbit(params, L.seed_unstable(params), tolerances=TOLERANCES[name])
+    y_mid, dy_mid = orbit.read(0.5 * (orbit.t[1:] + orbit.t[:-1]))
     sha = hashlib.sha256()
     for label, column in (("t", orbit.t), ("phi", orbit.phi), ("psi", orbit.psi),
-                          *zip(orbit.steps._fields, orbit.steps)):
+                          *zip(orbit.steps._fields, orbit.steps),
+                          ("y_mid", y_mid), ("dy_mid", dy_mid)):
         data = np.ascontiguousarray(column, dtype=float)
         sha.update(f"{label} {data.shape}\n".encode() + data.tobytes())
     sha.update(f"terminal {orbit.terminal.value}\n".encode())
