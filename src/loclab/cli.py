@@ -43,10 +43,10 @@ class RunConfig:
     n: int = 3
     p: int = 2
     k: int = 2
-    t_max: float = 200.0
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    seed_epsilon: float = 1e-8
+    t_max: float = dynamics.T_MAX
+    abs_tol: float = dynamics.Tolerances.abs_tol
+    rel_tol: float = dynamics.Tolerances.rel_tol
+    seed_epsilon: float = dynamics.SEED_EPSILON
     phi_boundary: str | float | None = None
     output_dir: str | None = None
     format: str = "json"
@@ -174,7 +174,7 @@ def _cmd_verify_hopf(cfg: RunConfig) -> int:
     hopf.require_hopf_type(validate_params(cfg.n, cfg.p, cfg.k, relaxed=cfg.relaxed))
     params, orbit = _integrated(cfg)
     prof = dynamics.extract_profile(orbit, params)
-    report = hopf.hopf_verify_report(profile=prof, params=params)
+    report = hopf.hopf_verify_report(prof)
     _emit_json(report, cfg, "hopf_verify")
     return 0 if report["pass"] else 1
 

@@ -199,15 +199,14 @@ def dirichlet_multiplicity(
 
 
 def nonminimizing_verdict(
-    profile: Profile, orbit: Orbit, params: LomseParams, rel_tol: float = 1e-8
+    profile: Profile, orbit: Orbit, params: LomseParams
 ) -> geometry.DensityReport:
     """Density comparison certifying that the cone is not area-minimizing.
 
     The rescaling radii are the d_i = e^{t_i} at the phi0 crossings; the
     density at the first of them sits strictly below the cone density.
     ``ValueError`` unless ``profile`` is from ``orbit`` and ``params`` its
-    triple, and from ``density_report`` for a ``rel_tol`` that is not finite
-    and positive.
+    triple.
     """
     if orbit is not profile.orbit:
         raise ValueError("the profile was not extracted from this orbit")
@@ -218,4 +217,4 @@ def nonminimizing_verdict(
     radii = [d for d in report.d_values if d <= profile.r_max]
     if not radii:
         raise NotConverged("no phi0 crossings within the profile range")
-    return geometry.density_report(profile, radii, rel_tol=rel_tol)
+    return geometry.density_report(profile, radii)

@@ -16,6 +16,7 @@ residuals, and the invariant-region barriers for both stability types.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -46,6 +47,10 @@ class Tolerances:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     conv_radius: float = 1e-9
+
+
+T_MAX = 200.0
+SEED_EPSILON = 1e-8
 
 
 class EventKind(Enum):
@@ -98,7 +103,7 @@ def vector_field(phi, psi, params: LomseParams) -> tuple:
     return psi, -psi - (f2_ * psi - f1_ * phi) * (1.0 + s * s)
 
 
-def seed_unstable(params: LomseParams, epsilon: float = 1e-8) -> PhasePoint:
+def seed_unstable(params: LomseParams, epsilon: float = SEED_EPSILON) -> PhasePoint:
     """Point on the linear unstable eigendirection V1 = (1, k-1) at t = 0.
 
     The system is autonomous, so the t-translation gauge is fixed here once
@@ -152,7 +157,7 @@ class Orbit:
 def integrate_orbit(
     params: LomseParams,
     seed: PhasePoint,
-    t_max: float = 200.0,
+    t_max: float = T_MAX,
     tolerances: Tolerances | None = None,
 ) -> Orbit:
     """Integrate the system forward from ``seed`` until convergence to
@@ -171,14 +176,16 @@ def integrate_orbit(
     that equilibrium is a hyperbolic sink for every triple (tr B = -(n+1) < 0
     and det B = 2n(K-n)/K > 0 since K = k(k+n-1) > n), so entering the ball
     is the whole rule, for nodes and spirals alike.  ``ValueError`` for a
-    non-finite tolerance or a ``conv_radius`` that is not positive.
+    ``t_max`` that is not finite and nonzero, a non-finite tolerance or a
+    ``conv_radius`` that is not positive.
     """
     tol = tolerances or Tolerances()
     if not (math.isfinite(seed.phi) and math.isfinite(seed.psi)
             and math.isfinite(seed.t)):
         raise NonFiniteState(f"seed is not finite: {seed}")
-    if not (t_max > 0 or t_max < 0):
-        raise ValueError(f"t_max must be nonzero, got {t_max}")
+    # at an infinite t_max a run that no terminal event ends never stops
+    if not (math.isfinite(t_max) and t_max != 0):
+        raise ValueError(f"t_max must be finite and nonzero, got {t_max}")
     for name in ("abs_tol", "rel_tol"):
         if not math.isfinite(getattr(tol, name)):
             raise ValueError(f"{name} must be finite, got {getattr(tol, name)}")
@@ -375,18 +382,12 @@ class BarrierCertificate:
     passed: bool
 
 
+_SIGNS = {">0": operator.gt, ">=0": operator.ge, "==0": operator.eq}
+
+
 def _signed_check(name: str, value, required_sign: str) -> Check:
-    if required_sign == ">0":
-        ok = value > 0
-    elif required_sign == ">=0":
-        ok = value >= 0
-    elif required_sign == "<0":
-        ok = value < 0
-    elif required_sign == "==0":
-        ok = value == 0
-    else:
-        raise ValueError(required_sign)
-    return Check(name=name, value=value, required_sign=required_sign, passed=bool(ok))
+    passed = bool(_SIGNS[required_sign](value, 0))
+    return Check(name=name, value=value, required_sign=required_sign, passed=passed)
 
 
 def _a3_case(params: LomseParams) -> tuple[CaseId, Fraction]:

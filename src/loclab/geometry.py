@@ -144,7 +144,8 @@ def _unit_gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _MAX_BISECTIONS = 20
-_REL_FLOOR = 100 * float(np.finfo(float).eps)
+_SPLIT_TOL = 1e-10
+_VERDICT_MARGIN = 1e-7
 
 
 def _panel_sums(profile, a: np.ndarray, b: np.ndarray):
@@ -158,7 +159,7 @@ def _panel_sums(profile, a: np.ndarray, b: np.ndarray):
     return f[:, :8] @ w_low, f[:, 8:] @ w_high
 
 
-def _graph_volumes(profile, radii: np.ndarray, rel_tol: float) -> np.ndarray:
+def _graph_volumes(profile, radii: np.ndarray) -> np.ndarray:
     """Integral of the volume integrand over (0, d] for each d in the sorted,
     positive, non-empty array ``radii``, without the omega_n factor.
 
@@ -169,16 +170,12 @@ def _graph_volumes(profile, radii: np.ndarray, rel_tol: float) -> np.ndarray:
     r_lo the integrand in t is e^{(n+1)t} g, with g nondecreasing for the power
     law c r^k (k >= 2) and constant for a cone, so the piece left out is under
     e^-40 ~ 4.2e-18 of the total, below rounding.  Panels where the 8- and
-    12-point rules differ by more than a hundredth of ``rel_tol`` (capped at
-    1e-8) of the total are bisected and read again, at most 20 times.  That
-    threshold is floored at 100 machine epsilons of the total, as ``dop853.solve``
-    floors ``rtol``: below it the rules differ by their rounding, so a tinier
-    ``rel_tol`` would only split panels to the depth limit.  One cumulative
-    sum of the 12-point values gives every radius.
+    12-point rules differ by more than ``_SPLIT_TOL`` of the total are bisected
+    and read again, at most 20 times.  One cumulative sum of the 12-point
+    values gives every radius.
     """
     if radii[-1] > profile.r_max:
         raise DomainTooShort(f"radius d={radii[-1]} exceeds the profile's r_max={profile.r_max}")
-    eps = max(min(rel_tol, 1e-8) * 1e-2, _REL_FLOOR)
     n = profile.params.n
     t_lo = math.log(min(profile.r_min, radii[0]) if profile.r_min > 0.0 else radii[0])
     knots = np.unique(np.concatenate([[t_lo - 40 / (n + 1), t_lo], np.log(radii)]))
@@ -193,7 +190,7 @@ def _graph_volumes(profile, radii: np.ndarray, rel_tol: float) -> np.ndarray:
             break
         low, high = _panel_sums(profile, a, b)
         if threshold is None:
-            threshold = eps * abs(np.sum(high))
+            threshold = _SPLIT_TOL * abs(np.sum(high))
         split = (np.abs(high - low) > threshold) & (depth < _MAX_BISECTIONS)
         values.append(high[~split])
         owners.append(owner[~split])
@@ -218,20 +215,17 @@ class DensityReport:
     verdict: Verdict
 
 
-def density_report(profile, radii: list[float], rel_tol: float = 1e-8) -> DensityReport:
+def density_report(profile, radii: list[float]) -> DensityReport:
     """Densities Vol(M cap B(R_i)) / (ball_{n+1} R_i^{n+1}) at
     R_i = sqrt(d_i^2 + rho(d_i)^2) for the rescaling radii d_i, in ascending
     order of d_i whatever the order of ``radii``, against the cone density.
 
     r^2 + rho^2 increases along the profile, so M cap B(R_i) is the graph
     over 0 < r <= d_i.  The cone is declared non-minimizing when the first
-    density sits strictly below the cone density by more than ten quadrature
-    tolerances.  ``ValueError`` for an empty ``radii``, a d_i or a ``rel_tol``
-    that is not finite and positive; ``DomainTooShort`` for a d_i past r_max.
+    density sits below the cone density by more than ``_VERDICT_MARGIN``.
+    ``ValueError`` for an empty ``radii`` or a d_i that is not finite and
+    positive; ``DomainTooShort`` for a d_i past r_max.
     """
-    # a negative rel_tol splits every panel at every depth; NaN or inf says Inconclusive
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     n = profile.params.n
     d = np.sort(np.asarray(radii, dtype=float))
     if d.size == 0:
@@ -240,10 +234,10 @@ def density_report(profile, radii: list[float], rel_tol: float = 1e-8) -> Densit
         if not (math.isfinite(r) and r > 0.0):
             raise ValueError(f"radius must be finite and positive, got {r}")
     R = np.hypot(d, profile.values_at(d)[0])
-    vols = sphere_volume(n) * _graph_volumes(profile, d, rel_tol)
+    vols = sphere_volume(n) * _graph_volumes(profile, d)
     thetas = (vols / (ball_volume(n + 1) * R ** (n + 1))).tolist()
     theta0 = cone_density(profile.params)
-    if thetas[0] < theta0 - 10.0 * rel_tol:
+    if thetas[0] < theta0 - _VERDICT_MARGIN:
         verdict = Verdict.NON_MINIMIZING
     else:
         verdict = Verdict.INCONCLUSIVE

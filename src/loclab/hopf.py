@@ -18,9 +18,10 @@ import numpy as np
 
 from .dynamics import Profile, ode1_residual, radial_residual
 from .errors import NotOnSphere, WrongCase
-from .params import LomseParams, validate_params
+from .params import LomseParams
 
 SPHERE_TOL = 1e-9
+_N_RADII = 20
 
 
 def _check_unit(x) -> np.ndarray:
@@ -128,12 +129,12 @@ def los_angle_root(x):
     return _float_or_array(_los_root(singular_value_sample(x).singular_values))
 
 
-def _general_residuals(profile: Profile, sv: np.ndarray, n_radii: int):
-    """The profile at ``n_radii`` log-spaced radii, read once, the general equation's
+def _general_residuals(profile: Profile, sv: np.ndarray):
+    """The profile at ``_N_RADII`` log-spaced radii, read once, the general equation's
     residual there (a row per row of singular values ``sv``, a column per radius), and
     |phi| + |psi| there, phi = rho/r and psi = rho_r - phi.  Every term of the equation
     is of size (|phi| + |psi|)/r, so r |residual| / (|phi| + |psi|) is scale-free."""
-    radii = np.geomspace(profile.r_min, profile.r_max, n_radii)
+    radii = np.geomspace(profile.r_min, profile.r_max, _N_RADII)
     values = profile.values_at(radii)
     spectrum = [(l2[:, None], 1) for l2 in np.atleast_2d(sv).T ** 2]
     gen = radial_residual(*values, radii, spectrum)
@@ -141,26 +142,26 @@ def _general_residuals(profile: Profile, sv: np.ndarray, n_radii: int):
     return gen, values, radii, np.abs(phi) + np.abs(values[1] - phi)
 
 
-def general_ode_residual(profile: Profile, x, n_radii: int = 20) -> float:
+def general_ode_residual(profile: Profile, x) -> float:
     """Max scale-free residual r |gen| / (|phi| + |psi|) (``_general_residuals``) of the
     general equation on the profile, with singular values sampled pointwise at x."""
     sv = singular_value_sample(x).singular_values
-    gen, _, radii, size = _general_residuals(profile, sv, n_radii)
+    gen, _, radii, size = _general_residuals(profile, sv)
     return float(np.max(radii * np.abs(gen) / size))
 
 
-def _reduced_gap(profile: Profile, sv: np.ndarray, n_radii: int) -> float:
+def _reduced_gap(profile: Profile, sv: np.ndarray) -> float:
     """Max of r |gen - red| / (|phi| + |psi|) over the general equation at singular
     values ``sv`` and the reduced one: scale-free, as ``general_ode_residual``."""
-    gen, values, radii, size = _general_residuals(profile, sv, n_radii)
+    gen, values, radii, size = _general_residuals(profile, sv)
     red = ode1_residual(*values, radii, profile.params)
     return float(np.max(radii * np.abs(gen - red) / size))
 
 
-def general_vs_lomse_deviation(profile: Profile, x, n_radii: int = 20) -> float:
+def general_vs_lomse_deviation(profile: Profile, x) -> float:
     """Scale-free gap (``_reduced_gap``) between the general equation, with singular
     values sampled at ``x`` (a 4-vector or a stack), and the reduced one."""
-    return _reduced_gap(profile, singular_value_sample(x).singular_values, n_radii)
+    return _reduced_gap(profile, singular_value_sample(x).singular_values)
 
 
 def harmonic_degree_check() -> dict:
@@ -194,22 +195,22 @@ def require_hopf_type(params: LomseParams, name: str = "params") -> None:
 
 
 def hopf_verify_report(
-    profile: Profile | None = None,
+    profile: Profile,
     params: LomseParams | None = None,
     n_samples: int = 1000,
     seed: int = 0,
 ) -> dict:
-    """Full verification report: per-check name, max deviation, tolerance,
-    pass flag, from one batched SVD of the sample.  The profile-dependent
-    equation check runs whenever a profile is supplied.  The Hopf map is of
-    (3,2,2)-type, so a profile or params of another triple raise
+    """Full verification report of seven checks: per-check name, max deviation,
+    tolerance, pass flag, from one batched SVD of the sample.  The profile
+    carries its triple; ``params``, when given, must be of the same type.  The
+    Hopf map is of (3,2,2)-type, so a profile or params of another triple raise
     ``WrongCase``: its singular values (2,2,0) are not that triple's, and the
     comparison would prove nothing."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    for name, p in (("params", params), ("profile.params", getattr(profile, "params", None))):
-        if p is not None:
-            require_hopf_type(p, name)
+    if params is not None:
+        require_hopf_type(params)
+    require_hopf_type(profile.params, "profile.params")
     checks = []
 
     def add(name: str, deviation: float, tol: float):
@@ -235,11 +236,10 @@ def hopf_verify_report(
     sv = s.singular_values[:min(100, n_samples)]
     r, rho, rho_r, rho_rr = np.random.default_rng(seed + 1).uniform(0.5, 2.0, (len(sv), 4)).T
     gen = radial_residual(rho, rho_r, rho_rr, r, [(l2, 1) for l2 in sv.T ** 2])
-    red = ode1_residual(rho, rho_r, rho_rr, r, validate_params(3, 2, 2))
+    red = ode1_residual(rho, rho_r, rho_rr, r, profile.params)
     add("general vs reduced equation on random jets", np.max(np.abs(gen - red)), 1e-12)
 
-    if profile is not None:
-        gap = _reduced_gap(profile, s.singular_values[:20], 20)
-        add("general vs reduced equation on profile", gap, 1e-8)
+    gap = _reduced_gap(profile, s.singular_values[:20])
+    add("general vs reduced equation on profile", gap, 1e-8)
 
     return {"checks": checks, "pass": all(c["pass"] for c in checks)}

@@ -48,5 +48,5 @@ def to_jsonable(obj):
     return str(obj)
 
 
-def dumps(obj, indent: int = 2) -> str:
-    return json.dumps(to_jsonable(obj), indent=indent, sort_keys=True)
+def dumps(obj) -> str:
+    return json.dumps(to_jsonable(obj), indent=2, sort_keys=True)

@@ -139,7 +139,7 @@ def test_criterion_07_dirichlet_multiplicity(orbit_324, orbit_322, p324, p322):
 
 
 def test_criterion_08_nonminimizing(profile_324, orbit_324, p324):
-    rep = L.nonminimizing_verdict(profile_324, orbit_324, p324, rel_tol=1e-8)
+    rep = L.nonminimizing_verdict(profile_324, orbit_324, p324)
     ok = rep.verdict is L.Verdict.NON_MINIMIZING
     ok &= rep.theta_seq[0] < rep.theta_cone
     ok &= bool(np.all(np.diff(rep.theta_seq) > -1e-6))

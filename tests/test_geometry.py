@@ -10,7 +10,6 @@ import sympy
 from scipy.integrate import quad
 
 import loclab as L
-from loclab import geometry
 from conftest import SWEEP, TIGHT, ConeProfile
 
 
@@ -231,19 +230,6 @@ def test_graph_volume_refuses_a_non_finite_radius(profile_324, R):
     # first in an unsorted list: the sort must not hide it
     with pytest.raises(ValueError, match=f"got {R}"):
         L.density_report(profile_324, [R, 2.0, 1.0])
-
-
-def _no_quadrature(*args):
-    raise AssertionError("a panel was integrated")
-
-
-@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
-def test_density_report_refuses_a_bad_rel_tol(profile_324, rel_tol, monkeypatch):
-    # refused before any panel is read: -1 would split every panel at every
-    # depth, 0 would run all the bisections, NaN and inf would say Inconclusive
-    monkeypatch.setattr(geometry, "_panel_sums", _no_quadrature)
-    with pytest.raises(ValueError, match=f"rel_tol .*got {rel_tol}"):
-        L.density_report(profile_324, [1.0], rel_tol=rel_tol)
 
 
 def test_density_report_refuses_no_radii(profile_324):

@@ -213,7 +213,7 @@ def test_rows_without_a_unique_root_give_nan():
 
 
 @pytest.mark.parametrize("row", [[1.0, 1.0, 1.0], [3.0, 1.0, 0.0]], ids=["no-root", "other-root"])
-def test_report_fails_the_root_check_off_the_hopf_values(monkeypatch, row):
+def test_report_fails_the_root_check_off_the_hopf_values(monkeypatch, row, profile_322):
     sample = L.singular_value_sample
 
     def shifted(x):
@@ -222,7 +222,7 @@ def test_report_fails_the_root_check_off_the_hopf_values(monkeypatch, row):
         return hopf.SphereSample(s.x, s.fx, s.jacobian, sv)
 
     monkeypatch.setattr(hopf, "singular_value_sample", shifted)
-    rep = L.hopf_verify_report(n_samples=50)
+    rep = L.hopf_verify_report(profile_322, n_samples=50)
     root = next(c for c in rep["checks"] if c["name"] == "unique LOS angle root")
     assert root["pass"] is False and rep["pass"] is False
 
@@ -301,7 +301,7 @@ def test_general_residual_is_scale_free(profile_322):
     assert math.isclose(L.general_ode_residual(profile_322, xs), want, rel_tol=1e-12)
 
 
-def test_report_fails_the_jet_check_for_a_perturbed_singular_value(monkeypatch):
+def test_report_fails_the_jet_check_for_a_perturbed_singular_value(monkeypatch, profile_322):
     # the general equation on the sampled singular values must agree with the
     # reduced one of (3,2,2); one value off by 1e-9 relative breaks that
     sample = L.singular_value_sample
@@ -313,10 +313,10 @@ def test_report_fails_the_jet_check_for_a_perturbed_singular_value(monkeypatch):
         return hopf.SphereSample(s.x, s.fx, s.jacobian, sv)
 
     name = "general vs reduced equation on random jets"
-    rep = L.hopf_verify_report(n_samples=50)
+    rep = L.hopf_verify_report(profile_322, n_samples=50)
     assert next(c for c in rep["checks"] if c["name"] == name)["pass"] is True
     monkeypatch.setattr(hopf, "singular_value_sample", perturbed)
-    rep = L.hopf_verify_report(n_samples=50)
+    rep = L.hopf_verify_report(profile_322, n_samples=50)
     jets = next(c for c in rep["checks"] if c["name"] == name)
     assert jets["max_deviation"] > 1e-12
     assert jets["pass"] is False and rep["pass"] is False
@@ -339,15 +339,15 @@ def test_report_with_a_profile_alone_checks_the_profile(profile_322, p322):
     assert len(alone["checks"]) == 7 and alone["pass"]
 
 
-def test_report_refuses_a_bad_sample_count():
+def test_report_refuses_a_bad_sample_count(profile_322):
     for n in (0, -1):
         with pytest.raises(ValueError, match="n_samples"):
-            L.hopf_verify_report(n_samples=n)
+            L.hopf_verify_report(profile_322, n_samples=n)
 
 
 def test_report_refuses_a_triple_other_than_322(profile_322, p322, profile_542):
     p542 = profile_542.params
     for profile, params in ((profile_542, p542), (profile_322, p542),
-                            (profile_542, p322), (None, p542), (profile_542, None)):
+                            (profile_542, p322), (profile_542, None)):
         with pytest.raises(L.WrongCase, match=r"\(5,4,2\)"):
             L.hopf_verify_report(profile, params, n_samples=50)
