@@ -76,16 +76,15 @@ def _find_crossings(orbit: Orbit, level: float) -> list[float]:
     because the benchmark's tracer counts its reads (ROADMAP item 1).
     """
     ts, phi = orbit.t, orbit.phi
-    way = 1.0 if ts[-1] >= ts[0] else -1.0
-    evs = sorted(orbit.events_of(EventKind.PSI_ZERO), key=lambda e: way * e.t)
+    evs = orbit.events_of(EventKind.PSI_ZERO)
     end_t = np.array([ts[0], *(e.t for e in evs), ts[-1]])
     end_phi = np.array([phi[0], *(e.point.phi for e in evs), phi[-1]])
     start, stop = end_phi[:-1], end_phi[1:]
     holds = (np.minimum(start, stop) < level) & (level < np.maximum(start, stop))
     holds[0] |= start[0] == level
     holds[-1] |= stop[-1] == level
-    first = np.searchsorted(way * ts, way * end_t[:-1], side="right")
-    last = np.searchsorted(way * ts, way * end_t[1:], side="left")
+    first = np.searchsorted(ts, end_t[:-1], side="right")
+    last = np.searchsorted(ts, end_t[1:], side="left")
     brackets = []
     for j in np.flatnonzero(holds):
         bt = np.r_[end_t[j], ts[first[j]:last[j]], end_t[j + 1]]
@@ -108,8 +107,8 @@ def _find_crossings(orbit: Orbit, level: float) -> list[float]:
 
 def _phi_extrema(orbit: Orbit) -> tuple[float, float | None]:
     """phi1 = max phi over the orbit; phi2 = min phi after the first psi-zero
-    event (TypeII only, None otherwise).  Some node is at or after that event:
-    a forward run's last node, a backward run's seed node."""
+    event (TypeII only, None otherwise).  The last node is at or after that
+    event."""
     psi_events = orbit.events_of(EventKind.PSI_ZERO)
     phi1 = float(np.max(orbit.phi))
     if psi_events:
@@ -170,7 +169,7 @@ def dirichlet_multiplicity(
     phi1, phi2 = _phi_extrema(orbit)
     is_type2 = params.stability is Stability.TYPE_II
     at_phi0 = abs(phi_boundary - phi0) < PHI0_MATCH_TOL
-    eps_window = (phi1 - phi0) if is_type2 else None
+    eps_window = None if phi2 is None else phi1 - phi0
 
     if at_phi0 and is_type2:
         crossings = [e.t for e in orbit.events_of(EventKind.PHI_EQUALS_PHI0)]

@@ -127,17 +127,15 @@ class StepTable(NamedTuple):
     def read(self, t) -> tuple[np.ndarray, np.ndarray]:
         """The states and their t-derivatives at a time or an array of times,
         each of shape (2,) + t.shape, in one pass.  Segments are picked as by
-        ``OdeSolution`` over the nodes, either way: ``t_old`` holds every node
-        but the last, which the clip stands in for.  scipy's x / (1 - x)
+        ``OdeSolution`` over the nodes: ``t_old`` holds every node but the
+        last, which the clip stands in for.  scipy's x / (1 - x)
         Horner loop runs in its own order, so the states are ``OdeSolution``'s
         bit for bit; the product rule carries d/dx through it (the polynomial's
         derivative: the field at the state would make a residual vacuous)."""
         t = np.asarray(t, dtype=float)
-        starts = self.t_old
-        way = 1.0 if starts[-1] >= starts[0] else -1.0
-        seg = np.clip(np.searchsorted(way * starts, way * t, side="left") - 1,
-                      0, len(starts) - 1)
-        t_old = starts[seg]
+        seg = np.clip(np.searchsorted(self.t_old, t, side="left") - 1,
+                      0, len(self.t_old) - 1)
+        t_old = self.t_old[seg]
         h = (self.t_new[seg] - t_old)[..., None]
         x = (t - t_old)[..., None] / h
         coef = self.F[seg]
@@ -181,16 +179,16 @@ def _fill_stages(plan, y0, y1, h, field, args):
         row[0], row[1] = field(y0 + d0 * h, y1 + d1 * h, args)
 
 
-def _initial_step(t0, y, f, t_bound, direction, rtol, atol, field, args):
+def _initial_step(t0, y, f, t_bound, rtol, atol, field, args):
     """scipy's ``select_initial_step`` (Hairer-Norsett-Wanner II.4), in numpy."""
     y, f = np.array(y), np.array(f)
-    interval = abs(t_bound - t0)
+    interval = t_bound - t0
     scale = atol + np.abs(y) * rtol
     d0 = np.linalg.norm(y / scale) / 2 ** 0.5
     d1 = np.linalg.norm(f / scale) / 2 ** 0.5
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    y1 = (y + h0 * direction * f).tolist()
+    y1 = (y + h0 * f).tolist()
     f1 = np.array(field(*y1, args))
     d2 = np.linalg.norm((f1 - f) / scale) / 2 ** 0.5 / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -234,9 +232,9 @@ def _crosses(direction, a, b):
 
 
 def solve(field, args, t0, y, t_bound, rtol, atol, events):
-    """Integrate ``field(phi, psi, args)`` from state ``y`` at ``t0`` towards
-    ``t_bound``, step for step as ``solve_ivp(method="DOP853",
-    dense_output=True)`` does.
+    """Integrate ``field(phi, psi, args)`` from state ``y`` at ``t0`` forward
+    to ``t_bound > t0`` (``ValueError`` otherwise), step for step as
+    ``solve_ivp(method="DOP853", dense_output=True)`` does.
 
     ``events`` holds ``(g(phi, psi), direction, terminal)`` triples.  The loop
     only steps: per accepted step it keeps the end node, the 13 stage rows and
@@ -260,7 +258,8 @@ def solve(field, args, t0, y, t_bound, rtol, atol, events):
         rtol = 100 * _EPS
     if atol < 0:
         raise ValueError("`atol` must be positive.")
-    direction = 1.0 if t_bound > t0 else -1.0
+    if not t_bound > t0:
+        raise ValueError(f"t_bound must exceed t0, got t0={t0}, t_bound={t_bound}")
     K = np.empty((N_STAGES + 1, 2))
     stages = [(K[:s].T.dot, a[:s], K[s]) for s, a in enumerate(A[1:], start=1)]
     kt_b, kt_e = K[:N_STAGES].T, K.T
@@ -268,7 +267,7 @@ def solve(field, args, t0, y, t_bound, rtol, atol, events):
     k_first, k_last = K[0], K[N_STAGES]
     y0, y1 = y
     f = field(y0, y1, args)
-    h_abs = _initial_step(t0, y, f, t_bound, direction, rtol, atol, field, args)
+    h_abs = _initial_step(t0, y, f, t_bound, rtol, atol, field, args)
     t = t0
     term = [i for i, (_, _, terminal) in enumerate(events) if terminal]
     term_g, term_d = [events[i][0] for i in term], [events[i][1] for i in term]
@@ -277,20 +276,16 @@ def solve(field, args, t0, y, t_bound, rtol, atol, events):
     g_old = [g(y0, y1) for g in term_g]
     gs = [g_old]
     status, message = None, None
-    toward = direction * math.inf
     while status is None:
-        min_step = 10 * abs(math.nextafter(t, toward) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
                 status, message = -1, TOO_SMALL_STEP
                 break
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
             k_first[0], k_first[1] = f
             _fill_stages(stages, y0, y1, h, field, args)
             d0, d1 = kt_b.dot(B).tolist()
@@ -305,7 +300,7 @@ def solve(field, args, t0, y, t_bound, rtol, atol, events):
             if err5 == 0 and err3 == 0:
                 err = 0.0
             else:
-                err = abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 2)
+                err = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2)
             if err < 1:
                 factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR, SAFETY * err ** _EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
@@ -315,7 +310,7 @@ def solve(field, args, t0, y, t_bound, rtol, atol, events):
         if status == -1:
             break
         t, y0, y1, f = t_new, n0, n1, f_new
-        if direction * (t - t_bound) >= 0:
+        if t >= t_bound:
             status = 0
         ts.append(t)
         ys.append((y0, y1))
@@ -346,7 +341,7 @@ def solve(field, args, t0, y, t_bound, rtol, atol, events):
                          xtol=4 * _EPS, rtol=4 * _EPS), i) for i in active]
         if status == 1 and j == len(Ks) - 1:
             # in time order, up to and including the first terminal root
-            roots.sort(key=lambda r: r[0] * direction)
+            roots.sort()
             stop = next(k for k, (_, i) in enumerate(roots) if events[i][2])
             roots = roots[:stop + 1]
             t_end = roots[-1][0]

@@ -161,7 +161,7 @@ def integrate_orbit(
     tolerances: Tolerances | None = None,
 ) -> Orbit:
     """Integrate the system forward from ``seed`` until convergence to
-    (phi0, 0), domain exit, or t_max (backward when t_max < 0).
+    (phi0, 0), domain exit, or t_max.
 
     Uses the 8th-order adaptive Dormand-Prince scheme DOP853 with dense
     output (``dop853.solve``).  The step loop only steps, and evaluates only the
@@ -176,7 +176,7 @@ def integrate_orbit(
     that equilibrium is a hyperbolic sink for every triple (tr B = -(n+1) < 0
     and det B = 2n(K-n)/K > 0 since K = k(k+n-1) > n), so entering the ball
     is the whole rule, for nodes and spirals alike.  ``ValueError`` for a
-    ``t_max`` that is not finite and nonzero, a non-finite tolerance or a
+    ``t_max`` that is not finite and positive, a non-finite tolerance or a
     ``conv_radius`` that is not positive.
     """
     tol = tolerances or Tolerances()
@@ -184,8 +184,8 @@ def integrate_orbit(
             and math.isfinite(seed.t)):
         raise NonFiniteState(f"seed is not finite: {seed}")
     # at an infinite t_max a run that no terminal event ends never stops
-    if not (math.isfinite(t_max) and t_max != 0):
-        raise ValueError(f"t_max must be finite and nonzero, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
     for name in ("abs_tol", "rel_tol"):
         if not math.isfinite(getattr(tol, name)):
             raise ValueError(f"{name} must be finite, got {getattr(tol, name)}")
@@ -401,6 +401,10 @@ def _a3_case(params: LomseParams) -> tuple[CaseId, Fraction]:
     return CaseId.A3_CASE4, Fraction(1, 2)
 
 
+# the points of the sampled barrier grids: A3's default and A4's grid
+BARRIER_GRID = 2048
+
+
 def _boundary_margins(
     params: LomseParams, curve, curve_prime, n_grid: int
 ) -> tuple[float, float]:
@@ -424,7 +428,7 @@ def _boundary_margins(
 
 
 def barrier_certificate_A3(
-    params: LomseParams, grid_resolution: int = 2048
+    params: LomseParams, grid_resolution: int = BARRIER_GRID
 ) -> BarrierCertificate:
     """Invariant-region certificate for the node (TypeI) cases.
 
@@ -502,22 +506,19 @@ def _strip_quadratic(params: LomseParams) -> tuple[Fraction, Fraction, Fraction]
     return 3 * lam2 * (n - p), lam2 * (1 + n - 3 * p) + 3 * n, Fraction(1 + n)
 
 
-def barrier_certificate_A4(
-    params: LomseParams, grid_resolution: int = 2048
-) -> BarrierCertificate:
+def barrier_certificate_A4(params: LomseParams) -> BarrierCertificate:
     """Invariant-region certificate for the spiral (TypeII) cases.
 
     Checks, in order: the exact value F(1/5) = 32/27 of the rational bound,
     the exact identity F(s) - 32/27 = 4(5s-1)^2(55s+43)/(675(s+1)^2(10s+1)),
     which makes 32/27 the minimum of F over s > 0, the inward inequality for
     the barrier g(phi) = (2 f1(phi) + 1/5) phi on (0, phi0) and the bottom
-    edge, both sampled on one grid of ``grid_resolution`` points, and the
+    edge, both sampled on one grid of ``BARRIER_GRID`` points, and the
     no-limit-cycle inequality Y2 + X2 < 0 over the quarter strip
     phi >= sqrt(v_th), psi > 0, v_th = (3p-n-1)/(3(n-p)), decided exactly by
     the minimum of the quadratic N of ``_strip_quadratic`` over v >= v_th.
     Raises ``WrongCase`` for a TypeI triple, and for a relaxed one with
-    3p < n + 1, where that threshold is not real; ``ValueError`` for
-    ``grid_resolution < 1``.
+    3p < n + 1, where that threshold is not real.
     """
     if params.stability is not Stability.TYPE_II:
         raise WrongCase(f"{params} is TypeI; use barrier_certificate_A3")
@@ -535,7 +536,7 @@ def barrier_certificate_A4(
     def g_prime(phi):
         return 2.0 * _f1_prime(phi, params) * phi + 2.0 * f1(phi, params) + 0.2
 
-    margin_b, margin_a = _boundary_margins(params, g, g_prime, grid_resolution)
+    margin_b, margin_a = _boundary_margins(params, g, g_prime, BARRIER_GRID)
 
     # N opens upward (a > 0): its minimum on [v_th, oo) is at v_th or at its vertex
     a, b, c = _strip_quadratic(params)
@@ -554,6 +555,6 @@ def barrier_certificate_A4(
         case_id=CaseId.A4,
         c=None,
         checks=checks,
-        grid_resolution=grid_resolution,
+        grid_resolution=BARRIER_GRID,
         passed=all(ch.passed for ch in checks),
     )

@@ -14,8 +14,6 @@ from loclab.dynamics import EventKind, Tolerances
 
 # tight enough to resolve the fourth oscillation of the (3,2,4) spiral
 TIGHT = Tolerances(abs_tol=1e-13, rel_tol=1e-13, conv_radius=1e-11)
-# a backward run from the seed to t = -5 resolves phi down to about 1e-12
-BACKWARD = Tolerances(abs_tol=1e-16, rel_tol=1e-12)
 
 
 def step_table(sol) -> StepTable:
@@ -28,16 +26,15 @@ def holding_branches(orbit, level: float) -> list[tuple[float, float]]:
     """The time spans, ascending, of the orbit's monotone branches (seed node,
     each psi-zero event, last node) whose phi-range holds ``level``: closed at
     the seed and at the last node, open at the events."""
-    way = 1.0 if orbit.t[-1] >= orbit.t[0] else -1.0
-    events = sorted(orbit.events_of(EventKind.PSI_ZERO), key=lambda e: way * e.t)
+    events = orbit.events_of(EventKind.PSI_ZERO)
     ends = [(orbit.t[0], orbit.phi[0]), *((e.t, e.point.phi) for e in events),
             (orbit.t[-1], orbit.phi[-1])]
     spans = []
     for j, ((ta, pa), (tb, pb)) in enumerate(zip(ends, ends[1:])):
         if (min(pa, pb) < level < max(pa, pb) or (j == 0 and pa == level)
                 or (j == len(ends) - 2 and pb == level)):
-            spans.append((float(min(ta, tb)), float(max(ta, tb))))
-    return sorted(spans)
+            spans.append((float(ta), float(tb)))
+    return spans
 
 
 def assert_branch_roots(orbit, level: float, roots: list[float], oracle=()) -> None:
@@ -86,12 +83,6 @@ def orbit_322(p322):
 @pytest.fixture(scope="session")
 def orbit_324(p324):
     return L.integrate_orbit(p324, L.seed_unstable(p324, 1e-8), tolerances=TIGHT)
-
-
-@pytest.fixture(scope="session")
-def orbit_324_backward(p324):
-    return L.integrate_orbit(p324, L.seed_unstable(p324, 1e-8), t_max=-5.0,
-                             tolerances=BACKWARD)
 
 
 @pytest.fixture(scope="session")

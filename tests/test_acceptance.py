@@ -50,7 +50,7 @@ def test_criterion_02_barrier_rationals():
     c1 = L.barrier_certificate_A3(L.validate_params(3, 2, 2), grid_resolution=1000)
     c2 = L.barrier_certificate_A3(L.validate_params(5, 4, 2), grid_resolution=1000)
     c3 = L.barrier_certificate_A3(L.validate_params(5, 4, 4), grid_resolution=1000)
-    c4 = L.barrier_certificate_A4(L.validate_params(3, 2, 4), grid_resolution=1000)
+    c4 = L.barrier_certificate_A4(L.validate_params(3, 2, 4))
 
     def val(cert, name):
         return next(c.value for c in cert.checks if c.name == name)

@@ -19,9 +19,6 @@ KEEPS_PARAMS = {"extract_profile", "dirichlet_multiplicity", "nonminimizing_verd
 SETTABLE = {
     ("barrier_certificate_A3", "grid_resolution"):
         "perfbench/test_perfbench.py: 64 points in the tracer self-test",
-    ("barrier_certificate_A4", "grid_resolution"):
-        "none outside the tests; kept beside barrier_certificate_A3's until exact "
-        "checks replace the sampled grids (ROADMAP item 2)",
     ("hopf_verify_report", "params"): "perfbench/workloads.py: hopf-battery",
     ("hopf_verify_report", "n_samples"): "perfbench/workloads.py: hopf-battery",
     ("hopf_verify_report", "seed"): "perfbench/workloads.py: one seed per hopf-battery op",

@@ -111,6 +111,18 @@ def test_epsilon_window(orbit_324, orbit_546, p324, p546):
         assert 0 < rep.epsilon_window <= p.phi0 / 5
 
 
+@pytest.mark.parametrize("tol", [L.Tolerances(), L.Tolerances(1e-8, 1e-8)],
+                         ids=["default", "1e-8"])
+def test_no_epsilon_window_before_the_first_psi_zero(p546, tol):
+    # the orbit enters the convergence ball before its first psi-zero event,
+    # so phi1 is its last node, below phi0: it never overshoots phi0
+    orbit = L.integrate_orbit(p546, L.seed_unstable(p546), tolerances=tol)
+    rep = L.dirichlet_multiplicity(orbit, p546, p546.phi0)
+    assert orbit.events_of(EventKind.PSI_ZERO) == []
+    assert rep.phi1 < p546.phi0
+    assert rep.phi2 is None and rep.epsilon_window is None
+
+
 def test_not_converged_rejected(p322):
     short = L.integrate_orbit(p322, L.seed_unstable(p322, 1e-8), t_max=2.0)
     with pytest.raises(L.NotConverged):
@@ -236,38 +248,17 @@ def test_pruned_scan_equals_the_full_grid(triple, tol):
         assert_branch_roots(orbit, level, _find_crossings(orbit, level), full_grid(level))
 
 
-def test_pruned_scan_of_a_backward_orbit(orbit_324_backward):
-    orbit = orbit_324_backward
-    rng = np.random.default_rng(7)
-    nodes = orbit.interpolant(orbit.t)[0]
-    full_grid = _full_grid_scan(orbit)
-    for level in [*_edge_levels(orbit, rng), *nodes[::7], *rng.uniform(0.0, nodes[0], 20)]:
-        level = float(level)
-        assert_branch_roots(orbit, level, _find_crossings(orbit, level), full_grid(level))
-    assert _find_crossings(orbit, float(nodes[3])) != []
-
-
 def _orbit(triple, tol):
     p = L.validate_params(*triple)
     return L.integrate_orbit(p, L.seed_unstable(p, 1e-8), tolerances=tol)
 
 
-def _spiral_backward(orbit):
-    """The (3,2,4) orbit from t = 12 back to t = 8, across two psi-zero
-    events, which a backward run meets in descending t."""
-    (phi, psi), _ = orbit.read(12.0)
-    return L.integrate_orbit(orbit.params, L.PhasePoint(float(phi), float(psi), 12.0),
-                             t_max=-4.0, tolerances=TIGHT)
-
-
-@pytest.mark.parametrize("which", ["default", "tight", "backward", "spiral-backward",
-                                   "chatter"])
-def test_levels_on_branch_ends_and_nodes(which, orbit_324, orbit_324_backward):
+@pytest.mark.parametrize("which", ["default", "tight", "chatter"])
+def test_levels_on_branch_ends_and_nodes(which, orbit_324):
     # "chatter": solver chatter near (phi0, 0) leaves node values unsorted
     # between its 387 psi-zero events
     orbit = {"default": lambda: _orbit((3, 2, 4), L.Tolerances()),
-             "tight": lambda: orbit_324, "backward": lambda: orbit_324_backward,
-             "spiral-backward": lambda: _spiral_backward(orbit_324),
+             "tight": lambda: orbit_324,
              "chatter": lambda: _orbit((15, 8, 2), L.Tolerances(1e-8, 1e-8))}[which]()
     events = [e.point.phi for e in orbit.events_of(EventKind.PSI_ZERO)]
     nodes = orbit.interpolant(orbit.t)[0]
@@ -285,7 +276,7 @@ def test_levels_on_branch_ends_and_nodes(which, orbit_324, orbit_324_backward):
     # the seed and the last node are closed branch ends: the node is the root
     assert float(orbit.t[0]) in _find_crossings(orbit, float(orbit.phi[0]))
     assert float(orbit.t[-1]) in _find_crossings(orbit, float(nodes[-1]))
-    if which != "default" and which != "tight":
+    if which == "chatter":
         return
     # phi1 and phi2 are psi-zero events, where the orbit turns: a tangency
     rep = L.dirichlet_multiplicity(orbit, orbit.params, orbit.params.phi0)

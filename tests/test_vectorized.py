@@ -16,7 +16,7 @@ from loclab.dirichlet import _find_crossings
 from loclab.dynamics import _strip_quadratic
 from loclab.hopf import _random_unit_vectors
 
-from conftest import BACKWARD, SWEEP, TIGHT, assert_branch_roots
+from conftest import SWEEP, TIGHT, assert_branch_roots
 
 
 @pytest.mark.parametrize("triple", SWEEP)
@@ -32,18 +32,16 @@ def test_vector_field_arrays_equal_scalar_calls(triple):
         assert np.array_equal(f(phi, p).ravel(), [f(float(a), p) for a in phi.ravel()])
 
 
-@pytest.mark.parametrize("triple, t_max, tol", [
-    *(pytest.param(triple, 200.0, tol, id=f"triple{i}-{name}")
-      for name, tol in (("default", L.Tolerances()), ("tight", TIGHT))
-      for i, triple in enumerate(SWEEP)),
-    pytest.param((3, 2, 4), -5.0, BACKWARD, id="backward"),
-])
-def test_states_at_equals_interpolant(triple, t_max, tol):
+@pytest.mark.parametrize("triple, tol", [
+    pytest.param(triple, tol, id=f"triple{i}-{name}")
+    for name, tol in (("default", L.Tolerances()), ("tight", TIGHT))
+    for i, triple in enumerate(SWEEP)])
+def test_states_at_equals_interpolant(triple, tol):
     p = L.validate_params(*triple)
-    orbit = L.integrate_orbit(p, L.seed_unstable(p), t_max, tolerances=tol)
+    orbit = L.integrate_orbit(p, L.seed_unstable(p), tolerances=tol)
     ts = orbit.interpolant.ts
     rng = np.random.default_rng(sum(triple))
-    t = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1]), rng.uniform(*np.sort(ts[[0, -1]]), 500),
+    t = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1]), rng.uniform(ts[0], ts[-1], 500),
                         [ts[0], ts[-1]]])
     assert np.array_equal(orbit.read(t)[0], orbit.interpolant(t))
     grid = t[: t.size // 2 * 2].reshape(-1, 2)
@@ -53,12 +51,10 @@ def test_states_at_equals_interpolant(triple, t_max, tol):
 
 
 def _psi_t_polyfit(orbit, t: float) -> float:
-    """Reference: interpolate psi at 9 Chebyshev nodes of the step holding t
-    (integrated forward or backward), one interpolant call per node, and
-    differentiate a least-squares fit."""
+    """Reference: interpolate psi at 9 Chebyshev nodes of the step holding t,
+    one interpolant call per node, and differentiate a least-squares fit."""
     ts = orbit.interpolant.ts
-    way = 1.0 if ts[-1] >= ts[0] else -1.0
-    i = int(np.clip(np.searchsorted(way * ts, way * t, side="right") - 1, 0, len(ts) - 2))
+    i = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
     ta, tb = ts[i], ts[i + 1]
     u = np.cos(np.pi * np.arange(9) / 8)
     tt = 0.5 * (ta + tb) + 0.5 * (tb - ta) * u
@@ -68,13 +64,13 @@ def _psi_t_polyfit(orbit, t: float) -> float:
     return float(np.polyval(dcoeffs, u0)) * 2.0 / (tb - ta)
 
 
-@pytest.mark.parametrize("name", ["orbit_322", "orbit_324", "orbit_324_backward"])
+@pytest.mark.parametrize("name", ["orbit_322", "orbit_324"])
 def test_batched_psi_t_matches_scalar_reference(name, request):
     orbit = request.getfixturevalue(name)
     t, h = orbit.t, np.diff(orbit.t)
     # differentiating a step's polynomial loses digits in proportion to
-    # max|psi| * 2/|h| over the step: that is the scale of "relative" here
-    scale = np.maximum(np.abs(orbit.psi[:-1]), np.abs(orbit.psi[1:])) * 2.0 / np.abs(h)
+    # max|psi| * 2/h over the step: that is the scale of "relative" here
+    scale = np.maximum(np.abs(orbit.psi[:-1]), np.abs(orbit.psi[1:])) * 2.0 / h
     for points, steps in ((t[1:-1], slice(1, None)), (t[:-1] + 0.5 * h, slice(None))):
         batched = orbit.read(points)[1][1]
         ref = np.array([_psi_t_polyfit(orbit, float(x)) for x in points])
