@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: classify, portrait, profile, dirichlet, barriers, verify-hopf,
-sweep.  Single-run commands print their JSON report to stdout and, when
---out is given, also write files there.  Exit codes: 0 success, 1 a
+sweep.  Single-run commands write their files to --out when it is given,
+then print their JSON report to stdout.  Exit codes: 0 success, 1 a
 certificate or invariant failed, 2 invalid configuration.
 """
 
@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
-import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -47,7 +45,7 @@ class RunConfig:
     abs_tol: float = dynamics.Tolerances.abs_tol
     rel_tol: float = dynamics.Tolerances.rel_tol
     seed_epsilon: float = dynamics.SEED_EPSILON
-    phi_boundary: str | float | None = None
+    phi_boundary: str | None = None
     output_dir: str | None = None
     format: str = "json"
     relaxed: bool = False
@@ -67,10 +65,10 @@ def _stamp(report: dict, cfg: RunConfig) -> dict:
 
 def _emit_json(report: dict, cfg: RunConfig, name: str) -> None:
     text = dumps(_stamp(report, cfg))
-    print(text)
     if cfg.output_dir:
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         (Path(cfg.output_dir) / f"{name}.json").write_text(text + "\n")
+    print(text)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -248,9 +246,6 @@ _COMMANDS = {
 
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
-    if config.command not in _COMMANDS:
-        print(f"unknown command: {config.command}", file=sys.stderr)
-        return 2
     if not all(math.isfinite(v) and v > 0 for v in
                (config.t_max, config.abs_tol, config.rel_tol, config.seed_epsilon)):
         print("tolerances, t_max and seed epsilon must be positive and finite",
@@ -259,10 +254,6 @@ def run(config: RunConfig) -> int:
     if config.abs_tol >= config.seed_epsilon:
         print(f"abs_tol {config.abs_tol} must be below seed_epsilon {config.seed_epsilon}: "
               "the seed region would be solver noise", file=sys.stderr)
-        return 2
-    if config.format not in FORMATS:
-        print(f"format must be one of {', '.join(FORMATS)}, got {config.format!r}",
-              file=sys.stderr)
         return 2
     try:
         return _COMMANDS[config.command](config)
@@ -283,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Lawson-Osserman cone and minimal-graph laboratory",
     )
     ap.add_argument("command", choices=sorted(_COMMANDS))
-    ap.add_argument("--config", help="JSON file with defaults; flags override")
     ap.add_argument("--n", type=int)
     ap.add_argument("--p", type=int)
     ap.add_argument("--k", type=int)
@@ -294,53 +284,16 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--phi-boundary", dest="phi_boundary")
     ap.add_argument("--out", dest="output_dir")
     ap.add_argument("--format", choices=FORMATS)
-    ap.add_argument("--relaxed", action="store_true", default=None)
-    ap.add_argument("--no-timestamp", action="store_true", default=None,
-                    dest="no_timestamp")
+    ap.add_argument("--relaxed", action="store_true")
+    ap.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
     ap.add_argument("--list", dest="sweep_list",
                     help="file of 'n p k' triples for sweep")
     return ap
 
 
-def _has_type(value, hint) -> bool:
-    """Whether a config-file value fits a ``RunConfig`` field type; an int
-    fits a float field, a bool fits only a bool field."""
-    allowed = typing.get_args(hint) or (hint,)
-    if isinstance(value, bool):
-        return bool in allowed
-    return isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    # every field but the subcommand, which only the command line names
-    settable = {k: v for k, v in typing.get_type_hints(RunConfig).items()
-                if k != "command"}
-    if args.config:
-        try:
-            loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"invalid configuration file: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(loaded, dict):
-            print("invalid configuration file: expected a JSON object", file=sys.stderr)
-            return 2
-        for key, value in loaded.items():
-            if key not in settable:
-                print(f"unknown config key: {key}", file=sys.stderr)
-                return 2
-            if not _has_type(value, settable[key]):
-                hint = settable[key]
-                print(f"config key {key}: {value!r} is not of type "
-                      f"{getattr(hint, '__name__', hint)}", file=sys.stderr)
-                return 2
-            setattr(cfg, key, value)
-    for name in settable:
-        value = getattr(args, name)
-        if value is not None:
-            setattr(cfg, name, value)
-    return run(cfg)
+    return run(RunConfig(**{k: v for k, v in vars(args).items() if v is not None}))
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry
 from .dynamics import EventKind, Orbit, Profile, Terminal, _check_params
-from .errors import DomainTooShort, NotConverged, WrongType
+from .errors import DomainTooShort, InsufficientEvents, NotConverged, WrongType
 from .params import LomseParams, Stability
 from .roots import brentq
 
@@ -204,8 +204,9 @@ def nonminimizing_verdict(
 
     The rescaling radii are the d_i = e^{t_i} at the phi0 crossings; the
     density at the first of them sits strictly below the cone density.
-    ``ValueError`` unless ``profile`` is from ``orbit`` and ``params`` its
-    triple.
+    ``InsufficientEvents`` when the orbit converges before its first phi0
+    crossing, as (5,4,6) does at the default tolerance.  ``ValueError``
+    unless ``profile`` is from ``orbit`` and ``params`` its triple.
     """
     if orbit is not profile.orbit:
         raise ValueError("the profile was not extracted from this orbit")
@@ -215,5 +216,8 @@ def nonminimizing_verdict(
     report = dirichlet_multiplicity(orbit, params, params.phi0)
     radii = [d for d in report.d_values if d <= profile.r_max]
     if not radii:
-        raise NotConverged("no phi0 crossings within the profile range")
+        raise InsufficientEvents(
+            "no phi0 crossings within the profile range: the orbit entered the "
+            f"convergence ball (conv_radius {orbit.tolerances.conv_radius}) before "
+            "its first phi = phi0 crossing")
     return geometry.density_report(profile, radii)

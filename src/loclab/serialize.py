@@ -18,10 +18,8 @@ _FIELD_RENAMES = {"passed": "pass"}
 
 
 def to_jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, float):
-        return float(obj)
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, Enum):
@@ -30,8 +28,6 @@ def to_jsonable(obj):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {}
         for f in dataclasses.fields(obj):
@@ -45,7 +41,7 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    return str(obj)
+    raise TypeError(f"cannot serialize an object of type {type(obj).__name__}")
 
 
 def dumps(obj) -> str:

@@ -9,6 +9,7 @@ import pytest
 
 from loclab import dynamics
 from loclab.cli import main
+from loclab.serialize import to_jsonable
 
 
 def run_cli(args, capsys):
@@ -215,29 +216,6 @@ def test_abs_tol_below_the_seed_epsilon_runs(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_config_abs_tol_at_the_seed_epsilon_integrates_nothing(monkeypatch, tmp_path, capsys):
-    _integrating_nothing(monkeypatch)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"abs_tol": 1e-8}))
-    code = main(["portrait", "--n", "3", "--p", "2", "--k", "2", "--config", str(cfg),
-                 "--no-timestamp"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "solver noise" in captured.err
-
-
-@pytest.mark.parametrize("command", ["sweep", "classify"])
-def test_config_format_has_the_flag_choices(command, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"format": "xml"}))
-    code = main([command, "--config", str(cfg)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "format must be one of json, csv" in captured.err
-
-
 @pytest.mark.parametrize("line", ["3 2 2 9", "3 2", "3 2 x", "3 2 2.0"])
 def test_sweep_list_line_must_be_three_integers(line, tmp_path, capsys):
     listing = tmp_path / "triples.txt"
@@ -339,68 +317,40 @@ def test_sweep_list_without_triples_is_refused(fmt, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, key, value", [("--jobs", "jobs", 2),
-                                              ("--event-tol", "event_tol", 1e-12)],
-                         ids=["jobs", "event_tol"])
-def test_removed_flags_and_keys_exit_2(flag, key, value, tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["--jobs", "--event-tol", "--config"],
+                         ids=["jobs", "event_tol", "config"])
+def test_removed_flags_and_keys_exit_2(flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["classify", "--n", "3", "--p", "2", "--k", "2", flag, str(value)])
+        main(["classify", "--n", "3", "--p", "2", "--k", "2", flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    # the field is gone, so a config file naming it is an unknown key
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
-    assert main(["classify", "--config", str(cfg)]) == 2
-    assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 3, "p": 2, "k": 2, "no_timestamp": True}))
-    code, out = run_cli(["classify", "--config", str(cfg)], capsys)
-    assert code == 0
-    assert json.loads(out)["params"]["k"] == 2
-    # flags override the file
-    code, out = run_cli(["classify", "--config", str(cfg), "--k", "4"], capsys)
-    assert code == 0
-    assert json.loads(out)["params"]["k"] == 4
+@pytest.mark.parametrize("flags", [["--format", "xml"], ["--k", "2.5"], ["--t-max", "abc"]],
+                         ids=["format", "float-for-int", "str-for-float"])
+def test_flag_values_of_the_wrong_type_exit_2_before_running(flags, monkeypatch, capsys):
+    _integrating_nothing(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["portrait", *flags, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flags[0]}: invalid" in captured.err
 
 
-def test_unknown_config_key(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    code, _ = run_cli(["classify", "--config", str(cfg)], capsys)
-    assert code == 2
-
-
-def test_config_cannot_set_the_command(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "barriers"}))
-    code = main(["classify", "--config", str(cfg)])
+@pytest.mark.parametrize("command", [["classify"], ["dirichlet", "--phi-boundary", "at-phi0"],
+                                     ["barriers"], ["verify-hopf"], ["sweep"]],
+                         ids=["classify", "dirichlet", "barriers", "verify-hopf", "sweep"])
+def test_no_report_is_printed_when_its_out_file_fails(command, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main([*command, "--no-timestamp", "--out", str(blocker / "sub")])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "unknown config key: command" in captured.err
+    assert "Not a directory" in captured.err
 
 
-@pytest.mark.parametrize("doc", [{"t_max": "abc"}, {"n": True}, {"k": 2.5},
-                                 {"no_timestamp": 1}, {"phi_boundary": [0.5]}, [1]],
-                         ids=["str-for-float", "bool-for-int", "float-for-int",
-                              "int-for-bool", "list-for-str", "not-an-object"])
-def test_config_value_of_wrong_type(doc, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    code = main(["classify", "--config", str(cfg)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "config" in captured.err
-
-
-def test_config_numbers_fit_float_fields(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"t_max": 50, "phi_boundary": 0.25, "no_timestamp": True,
-                               "n": 3, "p": 2, "k": 2}))
-    code, out = run_cli(["dirichlet", "--config", str(cfg)], capsys)
-    assert code == 0
-    assert json.loads(out)["dirichlet"]["phi_boundary"] == 0.25
+def test_an_unknown_type_is_not_serialized():
+    with pytest.raises(TypeError, match="object"):
+        to_jsonable(object())

@@ -170,6 +170,16 @@ def test_nonminimizing_verdict_at_tight_quadrature_tolerance(npk):
     assert rep.theta_seq[0] < rep.theta_cone - 100 * geometry._VERDICT_MARGIN
 
 
+def test_nonminimizing_verdict_of_an_orbit_converged_before_its_first_crossing(p546):
+    # at the default tolerance (5,4,6) enters the convergence ball before it
+    # first reaches phi0: too few events for a density, not a failed orbit
+    orbit = L.integrate_orbit(p546, L.seed_unstable(p546))
+    assert orbit.terminal is L.Terminal.CONVERGED_TO_P1
+    prof = L.extract_profile(orbit, p546)
+    with pytest.raises(L.InsufficientEvents, match="conv_radius 1e-09"):
+        L.nonminimizing_verdict(prof, orbit, p546)
+
+
 def test_nonminimizing_wrong_type(profile_322, orbit_322, p322):
     with pytest.raises(L.WrongType):
         L.nonminimizing_verdict(profile_322, orbit_322, p322)
