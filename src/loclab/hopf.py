@@ -48,17 +48,30 @@ _HOPF_Q = np.array(
 _HOPF_Q.setflags(write=False)
 
 
+def _gradients(x: np.ndarray) -> np.ndarray:
+    """The gradients 2 Q_c x of the quadratic forms, shape (..., 3, 4) for x of
+    shape (..., 4), as one product with the table laid out as a (4, 12) matrix.
+    Each row of each Q_c holds one entry of +-1, so every entry is exact."""
+    table = 2 * _HOPF_Q.transpose(2, 0, 1).reshape(4, 12)
+    return (x @ table).reshape(*x.shape[:-1], 3, 4)
+
+
+def _map_values(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """H_c(x) = x^T Q_c x from the gradients ``grad`` = 2 Q_c x."""
+    return 0.5 * (grad @ x[..., None])[..., 0]
+
+
 def hopf_map(x) -> np.ndarray:
     """The Hopf map S^3 -> S^2 in quadratic coordinates; ``x`` is a 4-vector
     or a stack of them along the last axis."""
     x = _check_unit(x)
-    return np.einsum("...i,cij,...j->...c", x, _HOPF_Q, x)
+    return _map_values(x, _gradients(x))
 
 
-def _tangent_jacobian(x: np.ndarray) -> np.ndarray:
-    """Ambient Jacobian 2 Q_c x of the quadratic forms projected onto
-    T_x S^3, shape (..., 3, 4) for x of shape (..., 4)."""
-    ambient = 2.0 * np.einsum("cij,...j->...ci", _HOPF_Q, x)
+def _tangent_jacobian(x: np.ndarray, grad: np.ndarray | None = None) -> np.ndarray:
+    """Ambient Jacobian 2 Q_c x of the quadratic forms (``grad``, when given)
+    projected onto T_x S^3, shape (..., 3, 4) for x of shape (..., 4)."""
+    ambient = _gradients(x) if grad is None else grad
     return ambient @ (np.eye(4) - x[..., :, None] * x[..., None, :])
 
 
@@ -74,16 +87,27 @@ def singular_value_sample(x) -> SphereSample:
     """Singular values of the differential restricted to the tangent space.
 
     The ambient Jacobian of the quadratic polynomials is projected onto
-    T_x S^3 and decomposed directly.  (An eigensolve of the 3x3 Gram matrix
-    gives the same spectrum but loses half the digits of the zero singular
-    value to the squaring, which would not meet the 1e-9 constancy bound.)
-    ``x`` may be a stack of points (N, 4): one batched SVD then gives every
-    field with a leading axis of length N.
+    T_x S^3 as J.  The eigenvalues of the 3x3 Gram matrix J J^T give the two
+    largest singular values as their square roots.  The square root of the
+    smallest eigenvalue would lose half the digits of the zero singular value
+    to the squaring (3.7e-8, not within the 1e-9 constancy bound), so the
+    third is read from a determinant instead: J x = 0 for a unit x, so
+    [J; x^T] [J; x^T]^T = diag(J J^T, 1) and |det [J; x^T]| = s1 s2 s3.
+    That determinant equals det [2 Q_c x; x^T], whose rows are dependent at
+    any |x|, so within ``SPHERE_TOL`` of the sphere but off it, where
+    I - x x^T is no projector, s3 stays at rounding level too.
+    ``x`` may be a stack of points (N, 4): every field then has a leading
+    axis of length N.
     """
     x = _check_unit(x)
-    jac = _tangent_jacobian(x)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    return SphereSample(x=x, fx=hopf_map(x), jacobian=jac, singular_values=sv)
+    grad = _gradients(x)
+    jac = _tangent_jacobian(x, grad)
+    lam = np.linalg.eigvalsh(jac @ np.swapaxes(jac, -1, -2))
+    s1, s2 = np.sqrt(lam[..., 2]), np.sqrt(lam[..., 1])
+    det = np.linalg.det(np.concatenate([jac, x[..., None, :]], axis=-2))
+    s3 = np.abs(det) / (s1 * s2)
+    sv = np.stack([s1, s2, s3], axis=-1)
+    return SphereSample(x=x, fx=_map_values(x, grad), jacobian=jac, singular_values=sv)
 
 
 def _los_residual(sv: np.ndarray, theta):
@@ -125,7 +149,8 @@ def _los_root(sv: np.ndarray) -> np.ndarray:
 
 def los_angle_root(x):
     """Unique root of the LOS condition in (0, pi/2) by ``_los_root``, else NaN:
-    a float for one point, an array for a stack (N, 4) from one batched SVD."""
+    a float for one point, an array for a stack (N, 4) from one batched
+    ``singular_value_sample``."""
     return _float_or_array(_los_root(singular_value_sample(x).singular_values))
 
 
@@ -201,7 +226,8 @@ def hopf_verify_report(
     seed: int = 0,
 ) -> dict:
     """Full verification report of seven checks: per-check name, max deviation,
-    tolerance, pass flag, from one batched SVD of the sample.  The profile
+    tolerance, pass flag, from one batched ``singular_value_sample`` of the
+    sample (one gradient product, Gram eigensolve and determinant).  The profile
     carries its triple; ``params``, when given, must be of the same type.  The
     Hopf map is of (3,2,2)-type, so a profile or params of another triple raise
     ``WrongCase``: its singular values (2,2,0) are not that triple's, and the

@@ -101,6 +101,57 @@ def test_singular_values_constant():
     assert math.isclose(float(np.sum(sv**2)), 8.0, rel_tol=1e-12)
 
 
+def test_singular_values_match_the_svd():
+    # s1, s2 from the Gram eigenvalues and s3 from det [J; x^T]; the square
+    # root of the smallest Gram eigenvalue would read 3.7e-8 for s3
+    xs = _random_unit_vectors(1000, seed=61)
+    s = L.singular_value_sample(xs)
+    svd = np.linalg.svd(s.jacobian, compute_uv=False)
+    assert np.max(np.abs(s.singular_values - svd)) <= 1e-14
+    assert np.max(s.singular_values[:, 2]) <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [1.0 + 9e-10, 1.0 - 9e-10], ids=["outside", "inside"])
+def test_zero_singular_value_off_the_unit_sphere(scale):
+    # |x| - 1 within SPHERE_TOL passes the sphere check, but there I - x x^T
+    # is no projector, and the third singular value of the projected J is
+    # 4 (|x| - 1) = 3.6e-9.  det [J; x^T] = det [2 Q_c x; x^T], whose rows are
+    # dependent at any |x|, so s3 stays at rounding level
+    xs = scale * _random_unit_vectors(1000, seed=67)
+    s = L.singular_value_sample(xs)
+    svd = np.linalg.svd(s.jacobian, compute_uv=False)
+    assert np.min(svd[:, 2]) > 1e-9
+    assert np.max(s.singular_values[:, 2]) <= 1e-14
+    assert np.max(np.abs(s.singular_values[:, :2] - svd[:, :2])) <= 1e-14
+
+
+def _singular_value_check(profile, table, monkeypatch) -> tuple[dict, bool]:
+    monkeypatch.setattr(hopf, "_HOPF_Q", table)
+    rep = L.hopf_verify_report(profile)
+    return next(c for c in rep["checks"] if c["name"] == "singular values (2,2,0)"), rep["pass"]
+
+
+def test_report_reads_a_patched_table_with_one_pair_flipped(monkeypatch, profile_322):
+    q = hopf._HOPF_Q.copy()
+    q[0, 0, 2] = q[0, 2, 0] = -1
+    check, passed = _singular_value_check(profile_322, q, monkeypatch)
+    assert math.isclose(check["max_deviation"], 1.9708, rel_tol=1e-4)
+    assert check["pass"] is False and passed is False
+
+
+def test_report_reads_a_patched_table_with_one_pair_off_by_1e9(monkeypatch, profile_322):
+    # the singular values move by about 2e-9, past the 1e-9 bound; the SVD of
+    # the same Jacobian reads the same deviation
+    q = hopf._HOPF_Q.astype(float)
+    q[0, 0, 2] = q[0, 2, 0] = 1.0 + 1e-9
+    check, passed = _singular_value_check(profile_322, q, monkeypatch)
+    svd = np.linalg.svd(L.singular_value_sample(_random_unit_vectors(1000, 0)).jacobian,
+                        compute_uv=False)
+    assert math.isclose(check["max_deviation"], np.max(np.abs(svd - [2, 2, 0])), rel_tol=1e-6)
+    assert check["max_deviation"] > 1.9e-9
+    assert check["pass"] is False and passed is False
+
+
 def test_los_condition():
     theta_star = math.acos(2 / 3)
     for x in _random_unit_vectors(100, seed=11):
