@@ -56,23 +56,17 @@ def _gradients(x: np.ndarray) -> np.ndarray:
     return (x @ table).reshape(*x.shape[:-1], 3, 4)
 
 
-def _map_values(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """H_c(x) = x^T Q_c x from the gradients ``grad`` = 2 Q_c x."""
-    return 0.5 * (grad @ x[..., None])[..., 0]
-
-
 def hopf_map(x) -> np.ndarray:
     """The Hopf map S^3 -> S^2 in quadratic coordinates; ``x`` is a 4-vector
     or a stack of them along the last axis."""
     x = _check_unit(x)
-    return _map_values(x, _gradients(x))
+    return 0.5 * (_gradients(x) @ x[..., None])[..., 0]
 
 
-def _tangent_jacobian(x: np.ndarray, grad: np.ndarray | None = None) -> np.ndarray:
-    """Ambient Jacobian 2 Q_c x of the quadratic forms (``grad``, when given)
-    projected onto T_x S^3, shape (..., 3, 4) for x of shape (..., 4)."""
-    ambient = _gradients(x) if grad is None else grad
-    return ambient @ (np.eye(4) - x[..., :, None] * x[..., None, :])
+def _tangent_jacobian(x: np.ndarray) -> np.ndarray:
+    """Ambient Jacobian 2 Q_c x of the quadratic forms projected onto
+    T_x S^3, shape (..., 3, 4) for x of shape (..., 4)."""
+    return _gradients(x) @ (np.eye(4) - x[..., :, None] * x[..., None, :])
 
 
 @dataclass(frozen=True)
@@ -93,21 +87,23 @@ def singular_value_sample(x) -> SphereSample:
     to the squaring (3.7e-8, not within the 1e-9 constancy bound), so the
     third is read from a determinant instead: J x = 0 for a unit x, so
     [J; x^T] [J; x^T]^T = diag(J J^T, 1) and |det [J; x^T]| = s1 s2 s3.
-    That determinant equals det [2 Q_c x; x^T], whose rows are dependent at
-    any |x|, so within ``SPHERE_TOL`` of the sphere but off it, where
-    I - x x^T is no projector, s3 stays at rounding level too.
+    Within ``SPHERE_TOL`` of the sphere but off it, I - x x^T is no
+    projector.  There s1 and s2 still match the SVD of J, and read 2 |x|,
+    which misses the 1e-9 bound as before.  s3 no longer does: it reads the
+    zero of dH on its kernel in T_x at rounding level, since
+    det [J; x^T] = det [2 Q_c x; x^T] has dependent rows at any |x|, where
+    the SVD of J reads 4 | |x| - 1 |.
     ``x`` may be a stack of points (N, 4): every field then has a leading
     axis of length N.
     """
     x = _check_unit(x)
-    grad = _gradients(x)
-    jac = _tangent_jacobian(x, grad)
+    jac = _tangent_jacobian(x)
     lam = np.linalg.eigvalsh(jac @ np.swapaxes(jac, -1, -2))
     s1, s2 = np.sqrt(lam[..., 2]), np.sqrt(lam[..., 1])
     det = np.linalg.det(np.concatenate([jac, x[..., None, :]], axis=-2))
     s3 = np.abs(det) / (s1 * s2)
     sv = np.stack([s1, s2, s3], axis=-1)
-    return SphereSample(x=x, fx=_map_values(x, grad), jacobian=jac, singular_values=sv)
+    return SphereSample(x=x, fx=hopf_map(x), jacobian=jac, singular_values=sv)
 
 
 def _los_residual(sv: np.ndarray, theta):

@@ -114,15 +114,19 @@ def test_singular_values_match_the_svd():
 @pytest.mark.parametrize("scale", [1.0 + 9e-10, 1.0 - 9e-10], ids=["outside", "inside"])
 def test_zero_singular_value_off_the_unit_sphere(scale):
     # |x| - 1 within SPHERE_TOL passes the sphere check, but there I - x x^T
-    # is no projector, and the third singular value of the projected J is
-    # 4 (|x| - 1) = 3.6e-9.  det [J; x^T] = det [2 Q_c x; x^T], whose rows are
-    # dependent at any |x|, so s3 stays at rounding level
+    # is no projector: the SVD of the projected J reads s3 = 4 ||x| - 1| =
+    # 3.6e-9, while det [J; x^T] = det [2 Q_c x; x^T] has dependent rows at
+    # any |x|, so s3 stays at rounding level.  s1 = s2 = 2 |x| still match the
+    # SVD, and still miss the 1e-9 bound by 1.8e-9
     xs = scale * _random_unit_vectors(1000, seed=67)
     s = L.singular_value_sample(xs)
     svd = np.linalg.svd(s.jacobian, compute_uv=False)
     assert np.min(svd[:, 2]) > 1e-9
     assert np.max(s.singular_values[:, 2]) <= 1e-14
     assert np.max(np.abs(s.singular_values[:, :2] - svd[:, :2])) <= 1e-14
+    two_norms = 2 * np.linalg.norm(xs, axis=-1)[:, None]
+    assert np.max(np.abs(s.singular_values[:, :2] - two_norms)) <= 1e-14
+    assert np.min(np.abs(s.singular_values[:, :2] - 2)) > 1e-9
 
 
 def _singular_value_check(profile, table, monkeypatch) -> tuple[dict, bool]:
