@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import Profile, ode1_residual, radial_residual
 from .errors import NotOnSphere, WrongCase
-from .params import LomseParams
+from .params import LomseParams, _integer
 
 SPHERE_TOL = 1e-9
 _N_RADII = 20
@@ -69,6 +69,22 @@ def _tangent_jacobian(x: np.ndarray) -> np.ndarray:
     return _gradients(x) @ (np.eye(4) - x[..., :, None] * x[..., None, :])
 
 
+def _det_with_row(jac: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """det [J; x^T] for J of shape (..., 3, 4) and x of shape (..., 4), by
+    Laplace expansion along the rows a, b of J: over the six column pairs
+    (i, j), the signed minor a_i b_j - a_j b_i times the minor of the row c
+    of J and x on the complementary pair (k, l).  Elementwise, so one point
+    gives bit for bit its row of a stack."""
+    a, b, c = np.moveaxis(jac, -2, 0)
+
+    def minor(u, v, i, j):
+        return u[..., i] * v[..., j] - u[..., j] * v[..., i]
+
+    return (minor(a, b, 0, 1) * minor(c, x, 2, 3) - minor(a, b, 0, 2) * minor(c, x, 1, 3)
+            + minor(a, b, 0, 3) * minor(c, x, 1, 2) + minor(a, b, 1, 2) * minor(c, x, 0, 3)
+            - minor(a, b, 1, 3) * minor(c, x, 0, 2) + minor(a, b, 2, 3) * minor(c, x, 0, 1))
+
+
 @dataclass(frozen=True)
 class SphereSample:
     x: np.ndarray
@@ -81,12 +97,14 @@ def singular_value_sample(x) -> SphereSample:
     """Singular values of the differential restricted to the tangent space.
 
     The ambient Jacobian of the quadratic polynomials is projected onto
-    T_x S^3 as J.  The eigenvalues of the 3x3 Gram matrix J J^T give the two
-    largest singular values as their square roots.  The square root of the
-    smallest eigenvalue would lose half the digits of the zero singular value
-    to the squaring (3.7e-8, not within the 1e-9 constancy bound), so the
-    third is read from a determinant instead: J x = 0 for a unit x, so
-    [J; x^T] [J; x^T]^T = diag(J J^T, 1) and |det [J; x^T]| = s1 s2 s3.
+    T_x S^3 as J.  The eigenvalues of the 3x3 Gram matrix J J^T, its lower
+    triangle filled with six row products, give the two largest singular
+    values as their square roots.  The square root of the smallest eigenvalue
+    would lose half the digits of the zero singular value to the squaring
+    (3.7e-8, not within the 1e-9 constancy bound), so the third is read from
+    a determinant instead: J x = 0 for a unit x, so
+    [J; x^T] [J; x^T]^T = diag(J J^T, 1) and |det [J; x^T]| = s1 s2 s3,
+    with the determinant expanded in 2x2 minors (``_det_with_row``).
     Within ``SPHERE_TOL`` of the sphere but off it, I - x x^T is no
     projector.  There s1 and s2 still match the SVD of J, and read 2 |x|,
     which misses the 1e-9 bound as before.  s3 no longer does: it reads the
@@ -98,10 +116,14 @@ def singular_value_sample(x) -> SphereSample:
     """
     x = _check_unit(x)
     jac = _tangent_jacobian(x)
-    lam = np.linalg.eigvalsh(jac @ np.swapaxes(jac, -1, -2))
+    rows = np.moveaxis(jac, -2, 0)
+    gram = np.empty(x.shape[:-1] + (3, 3))  # eigvalsh reads the lower triangle only
+    for i in range(3):
+        for j in range(i + 1):
+            gram[..., i, j] = np.einsum("...k,...k->...", rows[i], rows[j])
+    lam = np.linalg.eigvalsh(gram, UPLO="L")
     s1, s2 = np.sqrt(lam[..., 2]), np.sqrt(lam[..., 1])
-    det = np.linalg.det(np.concatenate([jac, x[..., None, :]], axis=-2))
-    s3 = np.abs(det) / (s1 * s2)
+    s3 = np.abs(_det_with_row(jac, x)) / (s1 * s2)
     sv = np.stack([s1, s2, s3], axis=-1)
     return SphereSample(x=x, fx=hopf_map(x), jacobian=jac, singular_values=sv)
 
@@ -223,11 +245,14 @@ def hopf_verify_report(
 ) -> dict:
     """Full verification report of seven checks: per-check name, max deviation,
     tolerance, pass flag, from one batched ``singular_value_sample`` of the
-    sample (one gradient product, Gram eigensolve and determinant).  The profile
-    carries its triple; ``params``, when given, must be of the same type.  The
-    Hopf map is of (3,2,2)-type, so a profile or params of another triple raise
-    ``WrongCase``: its singular values (2,2,0) are not that triple's, and the
-    comparison would prove nothing."""
+    sample (one gradient product, a Gram eigensolve and a determinant in 2x2
+    minors).  ``n_samples`` and ``seed`` must be integers, else ``ValueError``
+    before any sampling.  The profile carries its triple; ``params``, when
+    given, must be of the same type.  The Hopf map is of (3,2,2)-type, so a
+    profile or params of another triple raise ``WrongCase``: its singular
+    values (2,2,0) are not that triple's, and the comparison would prove
+    nothing."""
+    n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if params is not None:

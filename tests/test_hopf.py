@@ -111,6 +111,18 @@ def test_singular_values_match_the_svd():
     assert np.max(s.singular_values[:, 2]) <= 1e-14
 
 
+def test_det_with_row_matches_the_lu_determinant():
+    # a general J and x, neither a Hopf Jacobian nor a unit vector, within
+    # 1e-14 of the Hadamard bound, the product of the four row norms
+    rng = np.random.default_rng(71)
+    jac, x = rng.standard_normal((1000, 3, 4)), rng.standard_normal((1000, 4))
+    det = hopf._det_with_row(jac, x)
+    rows = np.concatenate([jac, x[..., None, :]], axis=-2)
+    hadamard = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)
+    assert np.max(np.abs(det - np.linalg.det(rows)) / hadamard) <= 1e-14
+    assert hopf._det_with_row(jac[417], x[417]) == det[417]
+
+
 @pytest.mark.parametrize("scale", [1.0 + 9e-10, 1.0 - 9e-10], ids=["outside", "inside"])
 def test_zero_singular_value_off_the_unit_sphere(scale):
     # |x| - 1 within SPHERE_TOL passes the sphere check, but there I - x x^T
@@ -395,9 +407,17 @@ def test_report_with_a_profile_alone_checks_the_profile(profile_322, p322):
 
 
 def test_report_refuses_a_bad_sample_count(profile_322):
-    for n in (0, -1):
-        with pytest.raises(ValueError, match="n_samples"):
+    for n in (0, -1, 2.0, True, "10"):
+        with pytest.raises(ValueError, match="n_samples") as err:
             L.hopf_verify_report(profile_322, n_samples=n)
+        assert str(err.value).endswith(f"got {n!r}")
+
+
+def test_report_refuses_a_seed_that_is_no_integer(profile_322):
+    for seed in (None, True, 1.5):
+        with pytest.raises(ValueError, match="seed") as err:
+            L.hopf_verify_report(profile_322, seed=seed)
+        assert str(err.value).endswith(f"got {seed!r}")
 
 
 def test_report_refuses_a_triple_other_than_322(profile_322, p322, profile_542):
