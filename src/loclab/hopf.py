@@ -85,6 +85,70 @@ def _det_with_row(jac: np.ndarray, x: np.ndarray) -> np.ndarray:
             - minor(a, b, 1, 3) * minor(c, x, 0, 2) + minor(a, b, 2, 3) * minor(c, x, 0, 1))
 
 
+def _top_two_eigenvalues(g00, g11, g22, g10, g20, g21):
+    """The two largest eigenvalues, in descending order, of the symmetric 3x3
+    matrices G with these entries (arrays that broadcast, or floats).
+    Elementwise, so one matrix gives bit for bit its entry of a stack.
+
+    1. The eigenvalue mu farthest from the mean q = tr G / 3, by the
+       trigonometric formula (Smith 1961): with p^2 = |G - qI|_F^2 / 6 and
+       r = det(G - qI) / (2 p^3), mu = q + 2p sgn(r) cos(arccos|r| / 3).
+       That eigenvalue is well conditioned there even where the other two
+       meet; read from the same formula, those two lose half the digits.
+    2. Its eigenvector n: the column of adj(G - mu I) with the largest
+       diagonal entry, normalized, or e3 where that column is 0.
+    3. Rayleigh-Ritz on n and its orthogonal complement: rho = n^T G n, and
+       the other two are tau/2 +- h with tau = tr G - rho and h the half-gap,
+       h^2 = |D|_F^2 / 2 for D = (I - n n^T) G (I - n n^T) - (tau/2)(I - n n^T).
+       Their error is quadratic in the error of n, and h is a root of a sum
+       of squares, so a double eigenvalue loses no digits to cancellation.
+    G is first scaled, exactly, by the power of two that brings its largest
+    entry into [1/2, 1), so no square, cube or cofactor over- or underflows.
+    """
+    _, power = np.frexp(np.max(np.abs([g00, g11, g22, g10, g20, g21]), axis=0))
+    scale = np.ldexp(1.0, -power)
+    g00, g11, g22, g10, g20, g21 = (g * scale for g in (g00, g11, g22, g10, g20, g21))
+    trace = g00 + g11 + g22
+    q = trace / 3.0
+    a, b, c = g00 - q, g11 - q, g22 - q
+    p2 = (a * a + b * b + c * c + 2.0 * (g10 * g10 + g20 * g20 + g21 * g21)) / 6.0
+    p = np.sqrt(p2)
+    det = a * (b * c - g21 * g21) - g10 * (g10 * c - g21 * g20) + g20 * (g10 * g21 - b * g20)
+    p3 = p * p2  # where p3 is 0 so is det, and r reads 0
+    r = np.clip(det / (2.0 * np.where(p3 > 0.0, p3, 1.0)), -1.0, 1.0)
+    mu = q + 2.0 * p * np.copysign(np.cos(np.arccos(np.abs(r)) / 3.0), r)
+
+    a, b, c = g00 - mu, g11 - mu, g22 - mu  # the diagonal of G - mu I, then its cofactors
+    d0, d1, d2 = b * c - g21 * g21, a * c - g20 * g20, a * b - g10 * g10
+    c01, c02, c12 = g20 * g21 - g10 * c, g10 * g21 - b * g20, g10 * g20 - a * g21
+    first, second = (d0 >= d1) & (d0 >= d2), d1 >= d2
+    v0 = np.where(first, d0, np.where(second, c01, c02))
+    v1 = np.where(first, c01, np.where(second, d1, c12))
+    v2 = np.where(first, c02, np.where(second, c12, d2))
+    norm = np.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    safe = np.where(norm > 0.0, norm, 1.0)  # where norm is 0 so is v, and n is e3
+    n0, n1, n2 = v0 / safe, v1 / safe, np.where(norm > 0.0, v2 / safe, 1.0)
+
+    w0 = g00 * n0 + g10 * n1 + g20 * n2
+    w1 = g10 * n0 + g11 * n1 + g21 * n2
+    w2 = g20 * n0 + g21 * n1 + g22 * n2
+    rho = n0 * w0 + n1 * w1 + n2 * w2
+    half = (trace - rho) / 2.0
+    k = rho + half
+    # D = G - n w^T - w n^T + (rho + tau/2) n n^T - (tau/2) I, entry by entry
+    e00 = g00 - 2.0 * n0 * w0 + k * n0 * n0 - half
+    e11 = g11 - 2.0 * n1 * w1 + k * n1 * n1 - half
+    e22 = g22 - 2.0 * n2 * w2 + k * n2 * n2 - half
+    e10 = g10 - n1 * w0 - w1 * n0 + k * n1 * n0
+    e20 = g20 - n2 * w0 - w2 * n0 + k * n2 * n0
+    e21 = g21 - n2 * w1 - w2 * n1 + k * n2 * n1
+    h = np.sqrt((e00 * e00 + e11 * e11 + e22 * e22
+                 + 2.0 * (e10 * e10 + e20 * e20 + e21 * e21)) / 2.0)
+    upper, lower = half + h, half - h
+    return (np.ldexp(np.maximum(rho, upper), power),
+            np.ldexp(np.maximum(np.minimum(rho, upper), lower), power))
+
+
 @dataclass(frozen=True)
 class SphereSample:
     x: np.ndarray
@@ -97,9 +161,10 @@ def singular_value_sample(x) -> SphereSample:
     """Singular values of the differential restricted to the tangent space.
 
     The ambient Jacobian of the quadratic polynomials is projected onto
-    T_x S^3 as J.  The eigenvalues of the 3x3 Gram matrix J J^T, its lower
-    triangle filled with six row products, give the two largest singular
-    values as their square roots.  The square root of the smallest eigenvalue
+    T_x S^3 as J.  The two largest eigenvalues of the 3x3 Gram matrix J J^T,
+    six row products passed entry by entry to ``_top_two_eigenvalues`` (in
+    closed form, with no eigensolver), give the two largest singular values
+    as their square roots.  The square root of the smallest eigenvalue
     would lose half the digits of the zero singular value to the squaring
     (3.7e-8, not within the 1e-9 constancy bound), so the third is read from
     a determinant instead: J x = 0 for a unit x, so
@@ -117,12 +182,9 @@ def singular_value_sample(x) -> SphereSample:
     x = _check_unit(x)
     jac = _tangent_jacobian(x)
     rows = np.moveaxis(jac, -2, 0)
-    gram = np.empty(x.shape[:-1] + (3, 3))  # eigvalsh reads the lower triangle only
-    for i in range(3):
-        for j in range(i + 1):
-            gram[..., i, j] = np.einsum("...k,...k->...", rows[i], rows[j])
-    lam = np.linalg.eigvalsh(gram, UPLO="L")
-    s1, s2 = np.sqrt(lam[..., 2]), np.sqrt(lam[..., 1])
+    gram = [np.einsum("...k,...k->...", rows[i], rows[j])
+            for i, j in ((0, 0), (1, 1), (2, 2), (1, 0), (2, 0), (2, 1))]
+    s1, s2 = np.sqrt(_top_two_eigenvalues(*gram))
     s3 = np.abs(_det_with_row(jac, x)) / (s1 * s2)
     sv = np.stack([s1, s2, s3], axis=-1)
     return SphereSample(x=x, fx=hopf_map(x), jacobian=jac, singular_values=sv)
@@ -245,16 +307,20 @@ def hopf_verify_report(
 ) -> dict:
     """Full verification report of seven checks: per-check name, max deviation,
     tolerance, pass flag, from one batched ``singular_value_sample`` of the
-    sample (one gradient product, a Gram eigensolve and a determinant in 2x2
-    minors).  ``n_samples`` and ``seed`` must be integers, else ``ValueError``
-    before any sampling.  The profile carries its triple; ``params``, when
-    given, must be of the same type.  The Hopf map is of (3,2,2)-type, so a
-    profile or params of another triple raise ``WrongCase``: its singular
-    values (2,2,0) are not that triple's, and the comparison would prove
-    nothing."""
+    sample (one gradient product, the two largest Gram eigenvalues in closed
+    form and a determinant in 2x2 minors).  ``n_samples`` must be an integer
+    of at least 1 and ``seed`` one of at least 0, else ``ValueError`` before
+    any sampling.  A sampled row without a unique LOS angle root counts as
+    pi/2 off in that check, so every deviation is finite.  The profile
+    carries its triple; ``params``, when given, must be of the same type.
+    The Hopf map is of (3,2,2)-type, so a profile or params of another
+    triple raise ``WrongCase``: its singular values (2,2,0) are not that
+    triple's, and the comparison would prove nothing."""
     n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if params is not None:
         require_hopf_type(params)
     require_hopf_type(profile.params, "profile.params")
@@ -273,7 +339,10 @@ def hopf_verify_report(
     theta_star = math.acos(2.0 / 3.0)
     cond_dev = np.max(np.abs(_los_residual(s.singular_values[:100], theta_star)))
     add("LOS condition at arccos(2/3)", cond_dev, 1e-9)
-    root_dev = np.max(np.abs(_los_root(s.singular_values[:10]) - theta_star))
+    # a row without a unique root (NaN) counts as pi/2 off, more than any root in
+    # (0, pi/2) can be, so the check fails and the report stays valid JSON
+    root_dev = np.max(np.nan_to_num(np.abs(_los_root(s.singular_values[:10]) - theta_star),
+                                    nan=math.pi / 2))
     add("unique LOS angle root", root_dev, 1e-9)
 
     hd = harmonic_degree_check()

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +123,83 @@ def test_det_with_row_matches_the_lu_determinant():
     hadamard = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)
     assert np.max(np.abs(det - np.linalg.det(rows)) / hadamard) <= 1e-14
     assert hopf._det_with_row(jac[417], x[417]) == det[417]
+
+
+def _symmetric_family(eigenvalues, rng):
+    """Symmetric 3x3 matrices Q diag(l) Q^T, one per row of ``eigenvalues``, for
+    random orthogonal Q."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), 3, 3)))
+    return q @ (eigenvalues[:, :, None] * np.swapaxes(q, -1, -2))
+
+
+def _extreme_axis_off_the_first(n, rng):
+    """Symmetric matrices whose extreme eigenvalue, in [5, 10], has an
+    eigenvector with first entry 0 and whose other two, in [0, 1], have
+    eigenvectors off every axis: column 0 of adj(G - mu I) is 0 there."""
+    beta, alpha = rng.uniform(0.0, 2.0 * math.pi, (2, n, 1))
+    e1 = np.array([1.0, 0.0, 0.0])
+    axis = np.cos(beta) * [0.0, 1.0, 0.0] + np.sin(beta) * [0.0, 0.0, 1.0]
+    perp = -np.sin(beta) * [0.0, 1.0, 0.0] + np.cos(beta) * [0.0, 0.0, 1.0]
+    vectors = (axis, np.cos(alpha) * e1 + np.sin(alpha) * perp,
+               np.cos(alpha) * perp - np.sin(alpha) * e1)
+    values = (rng.uniform(5.0, 10.0, n), rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
+    return sum(lam[:, None, None] * v[:, :, None] * v[:, None, :]
+               for lam, v in zip(values, vectors))
+
+
+_N_MATRICES = 10_000
+_EIGENVALUE_FAMILIES = {
+    "full-rank": lambda rng: rng.uniform(0.1, 10.0, (_N_MATRICES, 3)),
+    "rank-2": lambda rng: rng.uniform(0.1, 10.0, (_N_MATRICES, 3)) * [1.0, 1.0, 0.0],
+    "rank-1": lambda rng: rng.uniform(0.1, 10.0, (_N_MATRICES, 3)) * [1.0, 0.0, 0.0],
+    "hopf-4-4-0": lambda rng: np.tile([4.0, 4.0, 0.0], (_N_MATRICES, 1)),
+    "4e-9-apart": lambda rng: np.tile([4.0, 4.0 + 4e-9, 0.0], (_N_MATRICES, 1)),
+    "triple": lambda rng: np.full((_N_MATRICES, 3), 2.0),
+    "nearly-triple": lambda rng: np.tile([2.0, 2.0 + 1e-9, 2.0 + 3e-9], (_N_MATRICES, 1)),
+    "negative": lambda rng: rng.uniform(-10.0, 10.0, (_N_MATRICES, 3)),
+    "tiny": lambda rng: rng.uniform(0.1, 10.0, (_N_MATRICES, 3)) * 1e-150,
+    "huge": lambda rng: rng.uniform(-10.0, 10.0, (_N_MATRICES, 3)) * 1e150,
+}
+
+
+def _gram_entries(g):
+    """The six entries (0,0), (1,1), (2,2), (1,0), (2,0), (2,1) of ``g``."""
+    return [g[..., i, j] for i, j in ((0, 0), (1, 1), (2, 2), (1, 0), (2, 0), (2, 1))]
+
+
+@pytest.mark.parametrize("family", [*_EIGENVALUE_FAMILIES, "extreme-axis-off-the-first"])
+def test_top_two_eigenvalues_match_eigvalsh(family):
+    rng = np.random.default_rng(73)
+    if family in _EIGENVALUE_FAMILIES:
+        g = _symmetric_family(_EIGENVALUE_FAMILIES[family](rng), rng)
+    else:
+        g = _extreme_axis_off_the_first(_N_MATRICES, rng)
+    g = (g + np.swapaxes(g, -1, -2)) / 2.0
+    top = np.stack(hopf._top_two_eigenvalues(*_gram_entries(g)), axis=-1)
+    lam = np.linalg.eigvalsh(g)
+    norm = np.max(np.abs(lam), axis=-1)
+    assert np.max(np.abs(top - lam[:, :0:-1]) / norm[:, None]) <= 1e-14
+    one = hopf._top_two_eigenvalues(*(float(e) for e in _gram_entries(g[417])))
+    assert one[0] == top[417, 0] and one[1] == top[417, 1]
+
+
+def test_top_two_eigenvalues_of_the_zero_matrix():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hopf._top_two_eigenvalues(*[0.0] * 6) == (0.0, 0.0)
+        assert np.array_equal(hopf._top_two_eigenvalues(*np.zeros((6, 5))), np.zeros((2, 5)))
+
+
+def test_singular_values_of_a_flipped_table_match_the_svd(monkeypatch):
+    # the table of test_report_reads_a_patched_table_with_one_pair_flipped
+    # gives a full-rank Gram matrix: s3 lies far above rounding level
+    q = hopf._HOPF_Q.copy()
+    q[0, 0, 2] = q[0, 2, 0] = -1
+    monkeypatch.setattr(hopf, "_HOPF_Q", q)
+    s = L.singular_value_sample(_random_unit_vectors(1000, 0))
+    svd = np.linalg.svd(s.jacobian, compute_uv=False)
+    assert np.min(svd[:, 2]) > 1e-4
+    assert np.max(np.abs(s.singular_values - svd)) <= 1e-14
 
 
 @pytest.mark.parametrize("scale", [1.0 + 9e-10, 1.0 - 9e-10], ids=["outside", "inside"])
@@ -294,6 +373,23 @@ def test_report_fails_the_root_check_off_the_hopf_values(monkeypatch, row, profi
     assert root["pass"] is False and rep["pass"] is False
 
 
+def test_report_without_a_root_is_json(monkeypatch, profile_322):
+    # a row without a unique root counts as pi/2 off, so the report has no NaN
+    sample = L.singular_value_sample
+
+    def no_root(x):
+        s = sample(x)
+        sv = np.broadcast_to([1.0, 1.0, 1.0], s.singular_values.shape)
+        return hopf.SphereSample(s.x, s.fx, s.jacobian, sv)
+
+    monkeypatch.setattr(hopf, "singular_value_sample", no_root)
+    rep = L.hopf_verify_report(profile_322, n_samples=50)
+    root = next(c for c in rep["checks"] if c["name"] == "unique LOS angle root")
+    assert root["max_deviation"] == math.pi / 2
+    assert root["pass"] is False and rep["pass"] is False
+    json.dumps(rep, allow_nan=False)
+
+
 def test_harmonic_degree():
     rep = L.harmonic_degree_check()
     assert rep["laplacians_zero"]
@@ -415,6 +511,13 @@ def test_report_refuses_a_bad_sample_count(profile_322):
 
 def test_report_refuses_a_seed_that_is_no_integer(profile_322):
     for seed in (None, True, 1.5):
+        with pytest.raises(ValueError, match="seed") as err:
+            L.hopf_verify_report(profile_322, seed=seed)
+        assert str(err.value).endswith(f"got {seed!r}")
+
+
+def test_report_refuses_a_negative_seed(profile_322):
+    for seed in (-1, -2**40):
         with pytest.raises(ValueError, match="seed") as err:
             L.hopf_verify_report(profile_322, seed=seed)
         assert str(err.value).endswith(f"got {seed!r}")
