@@ -25,7 +25,6 @@ from .dynamics import (
     f2,
     integrate_orbit,
     ode1_residual,
-    oscillation_record,
     seed_unstable,
     vector_field,
 )
@@ -59,13 +58,11 @@ from .geometry import (
 )
 from .hopf import (
     SphereSample,
-    general_ode_residual,
     general_vs_lomse_deviation,
     harmonic_degree_check,
     hopf_map,
     hopf_verify_report,
     los_angle_root,
-    los_condition_b,
     singular_value_sample,
 )
 from .params import (

@@ -12,7 +12,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,35 +34,13 @@ SWEEP_DEFAULT = [
 FORMATS = ("json", "csv")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 3
-    p: int = 2
-    k: int = 2
-    t_max: float = dynamics.T_MAX
-    abs_tol: float = dynamics.Tolerances.abs_tol
-    rel_tol: float = dynamics.Tolerances.rel_tol
-    seed_epsilon: float = dynamics.SEED_EPSILON
-    phi_boundary: str | None = None
-    output_dir: str | None = None
-    format: str = "json"
-    relaxed: bool = False
-    no_timestamp: bool = False
-    sweep_list: str | None = None
-
-
-def _tolerances(cfg: RunConfig) -> dynamics.Tolerances:
-    return dynamics.Tolerances(abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
-
-
-def _stamp(report: dict, cfg: RunConfig) -> dict:
+def _stamp(report: dict, cfg: argparse.Namespace) -> dict:
     if not cfg.no_timestamp:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
     return report
 
 
-def _emit_json(report: dict, cfg: RunConfig, name: str) -> None:
+def _emit_json(report: dict, cfg: argparse.Namespace, name: str) -> None:
     text = dumps(_stamp(report, cfg))
     if cfg.output_dir:
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
@@ -79,14 +56,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _integrated(cfg: RunConfig):
+def _integrated(cfg: argparse.Namespace):
     params = validate_params(cfg.n, cfg.p, cfg.k, relaxed=cfg.relaxed)
     seed = dynamics.seed_unstable(params, cfg.seed_epsilon)
-    orbit = dynamics.integrate_orbit(params, seed, cfg.t_max, _tolerances(cfg))
+    tol = dynamics.Tolerances(abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
+    orbit = dynamics.integrate_orbit(params, seed, cfg.t_max, tol)
     return params, orbit
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
+def _cmd_classify(cfg: argparse.Namespace) -> int:
     params = validate_params(cfg.n, cfg.p, cfg.k, relaxed=cfg.relaxed)
     report = {
         "params": to_jsonable(params),
@@ -99,7 +77,7 @@ def _cmd_classify(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_portrait(cfg: RunConfig) -> int:
+def _cmd_portrait(cfg: argparse.Namespace) -> int:
     params, orbit = _integrated(cfg)
     out = Path(cfg.output_dir or ".")
     _write_csv(
@@ -119,7 +97,7 @@ def _cmd_portrait(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_profile(cfg: RunConfig) -> int:
+def _cmd_profile(cfg: argparse.Namespace) -> int:
     params, orbit = _integrated(cfg)
     prof = dynamics.extract_profile(orbit, params)
     out = Path(cfg.output_dir or ".")
@@ -139,7 +117,7 @@ def _cmd_profile(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_dirichlet(cfg: RunConfig) -> int:
+def _cmd_dirichlet(cfg: argparse.Namespace) -> int:
     if cfg.phi_boundary is None:
         print("dirichlet requires --phi-boundary (a number or 'at-phi0')",
               file=sys.stderr)
@@ -161,13 +139,13 @@ def _certificate(params: LomseParams) -> dynamics.BarrierCertificate:
     return dynamics.barrier_certificate_A4(params)
 
 
-def _cmd_barriers(cfg: RunConfig) -> int:
+def _cmd_barriers(cfg: argparse.Namespace) -> int:
     cert = _certificate(validate_params(cfg.n, cfg.p, cfg.k, relaxed=cfg.relaxed))
     _emit_json({"certificate": to_jsonable(cert)}, cfg, "barriers")
     return 0 if cert.passed else 1
 
 
-def _cmd_verify_hopf(cfg: RunConfig) -> int:
+def _cmd_verify_hopf(cfg: argparse.Namespace) -> int:
     # the Hopf map is of (3,2,2)-type: refuse any other triple before integrating
     hopf.require_hopf_type(validate_params(cfg.n, cfg.p, cfg.k, relaxed=cfg.relaxed))
     params, orbit = _integrated(cfg)
@@ -219,7 +197,7 @@ def _read_triples(path: str) -> list[tuple[int, int, int]]:
     return triples
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
+def _cmd_sweep(cfg: argparse.Namespace) -> int:
     triples = _read_triples(cfg.sweep_list) if cfg.sweep_list else SWEEP_DEFAULT
     rows = [_sweep_row(n, p, k, cfg.relaxed) for (n, p, k) in triples]
     header = ["n", "p", "k", "type", "phi0", "cos_alpha", "volume_ratio",
@@ -244,8 +222,8 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
+def run(config: argparse.Namespace) -> int:
+    """Execute one command of the parsed flags; returns the process exit status."""
     if not all(math.isfinite(v) and v > 0 for v in
                (config.t_max, config.abs_tol, config.rel_tol, config.seed_epsilon)):
         print("tolerances, t_max and seed epsilon must be positive and finite",
@@ -274,16 +252,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Lawson-Osserman cone and minimal-graph laboratory",
     )
     ap.add_argument("command", choices=sorted(_COMMANDS))
-    ap.add_argument("--n", type=int)
-    ap.add_argument("--p", type=int)
-    ap.add_argument("--k", type=int)
-    ap.add_argument("--t-max", type=float, dest="t_max")
-    ap.add_argument("--abs-tol", type=float, dest="abs_tol")
-    ap.add_argument("--rel-tol", type=float, dest="rel_tol")
-    ap.add_argument("--seed-epsilon", type=float, dest="seed_epsilon")
+    ap.add_argument("--n", type=int, default=3)
+    ap.add_argument("--p", type=int, default=2)
+    ap.add_argument("--k", type=int, default=2)
+    ap.add_argument("--t-max", type=float, dest="t_max", default=dynamics.T_MAX)
+    ap.add_argument("--abs-tol", type=float, dest="abs_tol",
+                    default=dynamics.Tolerances.abs_tol)
+    ap.add_argument("--rel-tol", type=float, dest="rel_tol",
+                    default=dynamics.Tolerances.rel_tol)
+    ap.add_argument("--seed-epsilon", type=float, dest="seed_epsilon",
+                    default=dynamics.SEED_EPSILON)
     ap.add_argument("--phi-boundary", dest="phi_boundary")
     ap.add_argument("--out", dest="output_dir")
-    ap.add_argument("--format", choices=FORMATS)
+    ap.add_argument("--format", choices=FORMATS, default="json")
     ap.add_argument("--relaxed", action="store_true")
     ap.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
     ap.add_argument("--list", dest="sweep_list",
@@ -292,8 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    return run(RunConfig(**{k: v for k, v in vars(args).items() if v is not None}))
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

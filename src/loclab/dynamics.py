@@ -26,13 +26,12 @@ import numpy as np
 
 from . import dop853
 from .errors import (
-    InsufficientEvents,
     NonFiniteState,
     NotConverged,
     StepSizeUnderflow,
     WrongCase,
 )
-from .params import LomseParams, Stability
+from .params import LomseParams, Stability, _integer
 
 
 @dataclass(frozen=True)
@@ -176,8 +175,9 @@ def integrate_orbit(
     that equilibrium is a hyperbolic sink for every triple (tr B = -(n+1) < 0
     and det B = 2n(K-n)/K > 0 since K = k(k+n-1) > n), so entering the ball
     is the whole rule, for nodes and spirals alike.  ``ValueError`` for a
-    ``t_max`` that is not finite and positive, a non-finite tolerance or a
-    ``conv_radius`` that is not positive.
+    ``t_max`` that is not finite and positive, an ``abs_tol`` or ``rel_tol``
+    that is not finite and nonnegative, or a ``conv_radius`` that is not
+    finite and positive.
     """
     tol = tolerances or Tolerances()
     if not (math.isfinite(seed.phi) and math.isfinite(seed.psi)
@@ -186,9 +186,10 @@ def integrate_orbit(
     # at an infinite t_max a run that no terminal event ends never stops
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
-    for name in ("abs_tol", "rel_tol"):
-        if not math.isfinite(getattr(tol, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(tol, name)}")
+    for name in ("abs_tol", "rel_tol"):  # 0 is allowed, as in solve_ivp
+        value = getattr(tol, name)
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     if not 0 < tol.conv_radius < math.inf:
         raise ValueError(f"conv_radius must be finite and positive, got {tol.conv_radius}")
     phi0 = params.phi0
@@ -226,22 +227,6 @@ def integrate_orbit(
     events.sort(key=lambda e: e.t)
     return Orbit(t=t, phi=y[0], psi=y[1], events=events, terminal=terminal,
                  params=params, tolerances=tol, steps=steps)
-
-
-def oscillation_record(orbit: Orbit) -> tuple[list[float], list[float]]:
-    """Times T_i of the psi-zero crossings and the values phi(T_i).
-
-    Only the numerically resolvable crossings are reported; their amplitudes
-    decay geometrically, so the tail beyond event tolerance is extrapolated
-    elsewhere, never enumerated.
-    """
-    evs = orbit.events_of(EventKind.PSI_ZERO)
-    if len(evs) < 2:
-        raise InsufficientEvents(
-            f"need >= 2 psi-zero events, found {len(evs)} "
-            f"(terminal={orbit.terminal.value})"
-        )
-    return [e.t for e in evs], [e.point.phi for e in evs]
 
 
 def radial_residual(rho, rho_r, rho_rr, r, spectrum):
@@ -435,8 +420,10 @@ def barrier_certificate_A3(
     The region is bounded by psi = h(phi) = f1(phi) phi / (c (n-p)) over
     (0, phi0).  The decisive scalars F(0), G(0), G(lambda^2 phi0^2) are
     evaluated in exact rational arithmetic; the inward-pointing inequalities
-    are additionally sampled on a dense grid as a redundant check.
+    are additionally sampled on a dense grid of ``grid_resolution`` points,
+    an integer of at least 1 (else ``ValueError``), as a redundant check.
     """
+    grid_resolution = _integer(grid_resolution, "grid_resolution")
     if params.stability is not Stability.TYPE_I:
         raise WrongCase(f"{params} is TypeII; use barrier_certificate_A4")
     case_id, c = _a3_case(params)

@@ -198,19 +198,6 @@ def _los_residual(sv: np.ndarray, theta):
     return np.sum(1.0 / (c2 + s2 * sv**2), axis=-1) - 3.0
 
 
-def _float_or_array(a: np.ndarray):
-    """A float for one point, the array for a stack."""
-    return float(a) if a.ndim == 0 else a
-
-
-def los_condition_b(x, theta: float):
-    """Residual of the LOS angle condition sum_j 1/(cos^2 t + sin^2 t l_j^2) = n;
-    a float for one point, an array with one entry per row of a stack (N, 4)."""
-    if not 0.0 < theta < math.pi / 2:
-        raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
-    return _float_or_array(_los_residual(singular_value_sample(x).singular_values, theta))
-
-
 def _los_root(sv: np.ndarray) -> np.ndarray:
     """The LOS angle root in (0, pi/2) of each row of singular values ``sv``
     (..., 3) in closed form, NaN for a row without a unique root.  For u =
@@ -231,36 +218,22 @@ def los_angle_root(x):
     """Unique root of the LOS condition in (0, pi/2) by ``_los_root``, else NaN:
     a float for one point, an array for a stack (N, 4) from one batched
     ``singular_value_sample``."""
-    return _float_or_array(_los_root(singular_value_sample(x).singular_values))
-
-
-def _general_residuals(profile: Profile, sv: np.ndarray):
-    """The profile at ``_N_RADII`` log-spaced radii, read once, the general equation's
-    residual there (a row per row of singular values ``sv``, a column per radius), and
-    |phi| + |psi| there, phi = rho/r and psi = rho_r - phi.  Every term of the equation
-    is of size (|phi| + |psi|)/r, so r |residual| / (|phi| + |psi|) is scale-free."""
-    radii = np.geomspace(profile.r_min, profile.r_max, _N_RADII)
-    values = profile.values_at(radii)
-    spectrum = [(l2[:, None], 1) for l2 in np.atleast_2d(sv).T ** 2]
-    gen = radial_residual(*values, radii, spectrum)
-    phi = values[0] / radii
-    return gen, values, radii, np.abs(phi) + np.abs(values[1] - phi)
-
-
-def general_ode_residual(profile: Profile, x) -> float:
-    """Max scale-free residual r |gen| / (|phi| + |psi|) (``_general_residuals``) of the
-    general equation on the profile, with singular values sampled pointwise at x."""
-    sv = singular_value_sample(x).singular_values
-    gen, _, radii, size = _general_residuals(profile, sv)
-    return float(np.max(radii * np.abs(gen) / size))
+    root = _los_root(singular_value_sample(x).singular_values)
+    return float(root) if root.ndim == 0 else root
 
 
 def _reduced_gap(profile: Profile, sv: np.ndarray) -> float:
     """Max of r |gen - red| / (|phi| + |psi|) over the general equation at singular
-    values ``sv`` and the reduced one: scale-free, as ``general_ode_residual``."""
-    gen, values, radii, size = _general_residuals(profile, sv)
+    values ``sv`` (a row per point) and the reduced one, at ``_N_RADII`` log-spaced
+    radii of the profile, read once, with phi = rho/r and psi = rho_r - phi.  Every
+    term of either equation is of size (|phi| + |psi|)/r, so the gap is scale-free."""
+    radii = np.geomspace(profile.r_min, profile.r_max, _N_RADII)
+    values = profile.values_at(radii)
+    spectrum = [(l2[:, None], 1) for l2 in np.atleast_2d(sv).T ** 2]
+    gen = radial_residual(*values, radii, spectrum)
     red = ode1_residual(*values, radii, profile.params)
-    return float(np.max(radii * np.abs(gen - red) / size))
+    phi = values[0] / radii
+    return float(np.max(radii * np.abs(gen - red) / (np.abs(phi) + np.abs(values[1] - phi))))
 
 
 def general_vs_lomse_deviation(profile: Profile, x) -> float:

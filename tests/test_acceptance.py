@@ -14,7 +14,7 @@ import numpy as np
 
 import loclab as L
 from loclab.dynamics import CaseId, EventKind, Terminal, radial_residual
-from loclab.hopf import _random_unit_vectors
+from loclab.hopf import _los_residual, _random_unit_vectors
 from conftest import SWEEP, ConeProfile
 
 
@@ -94,7 +94,7 @@ def test_criterion_05_type2_orbit(orbit_324, p324):
     phi0 = p324.phi0
     evs = orbit_324.events_of(EventKind.PSI_ZERO)
     ok = len(evs) >= 4
-    T, phiT = L.oscillation_record(orbit_324)
+    phiT = [e.point.phi for e in evs]
     odd, even = phiT[0::2], phiT[1::2]
     ok &= all(v > phi0 for v in odd) and all(a > b for a, b in zip(odd, odd[1:]))
     ok &= all(v < phi0 for v in even) and all(a < b for a, b in zip(even, even[1:]))
@@ -158,7 +158,8 @@ def test_criterion_09_hopf(profile_322, p322):
         sv_dev = max(sv_dev, abs(sv[0] - 2), abs(sv[1] - 2), abs(sv[2]))
     ok = sv_dev < 1e-9
     theta_star = math.acos(2 / 3)
-    ok &= max(abs(L.los_condition_b(x, theta_star)) for x in xs[:100]) < 1e-9
+    sv100 = L.singular_value_sample(xs[:100]).singular_values
+    ok &= float(np.max(np.abs(_los_residual(sv100, theta_star)))) < 1e-9
     ok &= abs(L.los_angle_root(xs[0]) - theta_star) < 1e-9
     ok &= max(
         L.general_vs_lomse_deviation(profile_322, x) for x in xs[:20]

@@ -103,6 +103,14 @@ def test_certificate_refuses_an_empty_grid(certificate, npk, resolution):
         certificate(L.validate_params(*npk), grid_resolution=resolution)
 
 
+@pytest.mark.parametrize("resolution", [2.5, True, "64"])
+def test_certificate_refuses_a_grid_size_that_is_not_an_integer(resolution):
+    # read as given, 2.5 would sample 3 points and report 2.5, True would
+    # sample 1 point, and "64" would fail inside numpy
+    with pytest.raises(ValueError, match=f"grid_resolution must be an integer, got {resolution!r}"):
+        L.barrier_certificate_A3(L.validate_params(3, 2, 2), grid_resolution=resolution)
+
+
 def test_certificate_pass_is_conjunction():
     cert = L.barrier_certificate_A3(L.validate_params(3, 2, 2))
     assert cert.passed == all(c.passed for c in cert.checks)

@@ -351,6 +351,32 @@ def test_no_report_is_printed_when_its_out_file_fails(command, tmp_path, capsys)
     assert "Not a directory" in captured.err
 
 
+def test_classify_defaults_to_the_hopf_triple(capsys):
+    _, bare = run_cli(["classify", "--no-timestamp"], capsys)
+    _, explicit = run_cli(["classify", "--n", "3", "--p", "2", "--k", "2", "--no-timestamp"],
+                          capsys)
+    assert bare == explicit
+
+
+def test_profile_defaults_to_the_solver_defaults(tmp_path, capsys):
+    flags = ["--t-max", "200", "--abs-tol", "1e-10", "--rel-tol", "1e-10",
+             "--seed-epsilon", "1e-8"]
+    runs = {}
+    for name, extra in (("bare", []), ("explicit", flags)):
+        out = tmp_path / name
+        code, stdout = run_cli(["profile", *extra, "--no-timestamp", "--out", str(out)], capsys)
+        assert code == 0
+        runs[name] = stdout, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert runs["bare"] == runs["explicit"]
+    assert set(runs["bare"][1]) == {"profile.csv", "profile_summary.json"}
+
+
+def test_sweep_defaults_to_json(capsys):
+    code, out = run_cli(["sweep", "--no-timestamp"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 8
+
+
 def test_an_unknown_type_is_not_serialized():
     with pytest.raises(TypeError, match="object"):
         to_jsonable(object())

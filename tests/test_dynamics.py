@@ -201,8 +201,14 @@ def test_type2_orbit_events(orbit_324, p324):
     assert np.all(orbit_324.phi + orbit_324.psi > 0)
 
 
+def _psi_zero_record(orbit):
+    """Times T_i of the psi-zero crossings and the values phi(T_i)."""
+    evs = orbit.events_of(EventKind.PSI_ZERO)
+    return [e.t for e in evs], [e.point.phi for e in evs]
+
+
 def test_oscillation_record(orbit_324, orbit_322, orbit_546, p324):
-    T, phiT = L.oscillation_record(orbit_324)
+    T, phiT = _psi_zero_record(orbit_324)
     assert all(a < b for a, b in zip(T, T[1:]))
     phi0 = p324.phi0
     odd, even = phiT[0::2], phiT[1::2]
@@ -211,16 +217,15 @@ def test_oscillation_record(orbit_324, orbit_322, orbit_546, p324):
     assert all(a > b for a, b in zip(odd, odd[1:]))
     assert all(a < b for a, b in zip(even, even[1:]))
 
-    with pytest.raises(L.InsufficientEvents):
-        L.oscillation_record(orbit_322)
-    # the second oscillation of (5,4,6) has amplitude ~1e-21, far below
-    # double precision: only one psi-zero is resolvable, reported honestly
-    with pytest.raises(L.InsufficientEvents):
-        L.oscillation_record(orbit_546)
+    # the (3,2,2) node has no oscillation; the second oscillation of (5,4,6)
+    # has amplitude ~1e-21, far below double precision: only one psi-zero is
+    # resolvable, reported honestly
+    assert len(orbit_322.events_of(EventKind.PSI_ZERO)) == 0
+    assert len(orbit_546.events_of(EventKind.PSI_ZERO)) == 1
 
 
 def test_event_amplitude_decay_geometric(orbit_324, p324):
-    _, phiT = L.oscillation_record(orbit_324)
+    _, phiT = _psi_zero_record(orbit_324)
     amps = np.abs(np.array(phiT) - p324.phi0)
     ratios = amps[1:] / amps[:-1]
     assert np.all(ratios < 0.05)
@@ -493,12 +498,13 @@ def test_dop853_integrates_forward_only(t_bound):
 
 @pytest.mark.parametrize("name, value", [
     ("abs_tol", math.nan), ("abs_tol", math.inf), ("rel_tol", math.nan), ("rel_tol", math.inf),
-    ("rel_tol", -math.inf), ("conv_radius", math.nan), ("conv_radius", 0.0),
-    ("conv_radius", -1.0), ("conv_radius", math.inf)])
+    ("rel_tol", -math.inf), ("abs_tol", -1e-10), ("rel_tol", -1.0), ("conv_radius", math.nan),
+    ("conv_radius", 0.0), ("conv_radius", -1.0), ("conv_radius", math.inf)])
 def test_integrate_orbit_refuses_a_bad_tolerance(name, value, monkeypatch):
     # refused before the solver is reached: a NaN tolerance keeps the step
-    # size NaN, so the step loop never ends, and a ball radius that is not
-    # finite and positive is never entered, so the run says MaxTimeReached
+    # size NaN, so the step loop never ends, a negative rel_tol would only
+    # warn and run at 100 eps, and a ball radius that is not finite and positive
+    # is never entered, so the run says MaxTimeReached
     def unreachable(*args):
         raise AssertionError("the solver was reached")
 
@@ -508,10 +514,25 @@ def test_integrate_orbit_refuses_a_bad_tolerance(name, value, monkeypatch):
         L.integrate_orbit(_P322, L.seed_unstable(_P322), tolerances=tol)
 
 
-def test_integrate_orbit_leaves_a_negative_abs_tol_to_the_solver():
-    # scipy's rule, kept in dop853.solve: atol < 0 raises there
+@pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+def test_integrate_orbit_passes_a_zero_tolerance_to_the_solver(name, monkeypatch):
+    # 0 is allowed, as in solve_ivp: only a negative tolerance is refused
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(dop853, "solve", reached)
+    with pytest.raises(Reached):
+        L.integrate_orbit(_P322, L.seed_unstable(_P322), tolerances=Tolerances(**{name: 0.0}))
+
+
+def test_dop853_solve_keeps_scipys_negative_atol_error():
+    # integrate_orbit refuses a negative abs_tol by name; the solver keeps
+    # scipy's own rule for direct callers
     with pytest.raises(ValueError, match="`atol` must be positive"):
-        L.integrate_orbit(_P322, L.seed_unstable(_P322), tolerances=Tolerances(abs_tol=-1e-10))
+        dop853.solve(dynamics.vector_field, _P322, 0.0, (1e-8, 1e-8), 1.0, 1e-10, -1e-10, ())
 
 
 def _dop853_and_reference(params, y0, t_max, tol, event_fns):

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import loclab as L
 from loclab import hopf
@@ -70,14 +71,12 @@ def test_not_on_sphere_names_the_first_row_off_it():
     assert str(err.value) == "|x| = 0.5 is not 1 within 1e-09"
 
 
-_EVERY_ENTRY = (L.hopf_map, L.singular_value_sample,
-                lambda x: L.los_condition_b(x, 0.5), L.los_angle_root)
+_EVERY_ENTRY = (L.hopf_map, L.singular_value_sample, L.los_angle_root)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("entry", _EVERY_ENTRY,
-                         ids=["hopf_map", "singular_value_sample", "los_condition_b",
-                              "los_angle_root"])
+                         ids=["hopf_map", "singular_value_sample", "los_angle_root"])
 def test_non_finite_points_are_not_on_the_sphere(entry, bad):
     # |NaN - 1| > tol is False, so only a test that the norm is within the
     # tolerance refuses a NaN point
@@ -247,16 +246,17 @@ def test_report_reads_a_patched_table_with_one_pair_off_by_1e9(monkeypatch, prof
     assert check["pass"] is False and passed is False
 
 
+def _sampled_singular_values(n_samples, seed):
+    return L.singular_value_sample(_random_unit_vectors(n_samples, seed)).singular_values
+
+
 def test_los_condition():
     theta_star = math.acos(2 / 3)
-    for x in _random_unit_vectors(100, seed=11):
-        assert abs(L.los_condition_b(x, theta_star)) < 1e-9
-    x = _random_unit_vectors(1, seed=13)[0]
-    assert math.isclose(L.los_condition_b(x, math.pi / 4), -0.2, abs_tol=1e-12)
+    assert np.max(np.abs(hopf._los_residual(_sampled_singular_values(100, 11), theta_star))) < 1e-9
+    sv = _sampled_singular_values(1, 13)[0]
+    assert math.isclose(hopf._los_residual(sv, math.pi / 4), -0.2, abs_tol=1e-12)
     # limit theta -> 0+: every summand tends to 1
-    assert abs(L.los_condition_b(x, 1e-8)) < 1e-12
-    with pytest.raises(ValueError):
-        L.los_condition_b(x, 2.0)
+    assert abs(hopf._los_residual(sv, 1e-8)) < 1e-12
 
 
 def test_los_root_unique():
@@ -265,19 +265,9 @@ def test_los_root_unique():
         root = L.los_angle_root(x)
         assert abs(root - theta_star) < 1e-9
     # sign structure: negative below the root, positive above
-    x = _random_unit_vectors(1, seed=19)[0]
-    assert L.los_condition_b(x, theta_star - 0.2) < 0
-    assert L.los_condition_b(x, theta_star + 0.2) > 0
-
-
-def test_los_condition_of_a_stack_is_the_per_point_calls():
-    xs = _random_unit_vectors(50, seed=41)
-    for theta in (1e-8, math.pi / 4, math.acos(2 / 3), 1.5):
-        stack = L.los_condition_b(xs, theta)
-        assert isinstance(stack, np.ndarray) and stack.shape == (50,)
-        points = [L.los_condition_b(x, theta) for x in xs]
-        assert all(isinstance(b, float) for b in points)
-        assert stack.tolist() == points
+    sv = _sampled_singular_values(1, 19)[0]
+    assert hopf._los_residual(sv, theta_star - 0.2) < 0
+    assert hopf._los_residual(sv, theta_star + 0.2) > 0
 
 
 def _one_point_root(sv, tol):
@@ -334,17 +324,20 @@ def test_closed_form_root_is_the_bisection_root():
     assert np.max(np.abs(roots - math.acos(2 / 3))) <= 2.3e-16
 
 
-_SV = st.floats(0.0, 10.0)
+# every element drawn on its own: no fill value repeats one row down a stack
+_SV = arrays(float, (40, 3), elements=st.floats(0.0, 10.0), fill=st.nothing())
 
 
-@settings(max_examples=300, deadline=None)
-@given(sv=st.tuples(_SV, _SV, _SV))
+@settings(max_examples=20, deadline=None)
+@given(sv=_SV)
 def test_closed_form_root_solves_the_condition(sv):
-    l1, l2, l3 = (s * s for s in sv)
-    assume(l1 + l2 + l3 > 3.0 and l1 * l2 + l1 * l3 + l2 * l3 > 3.0 * l1 * l2 * l3)
-    root = hopf._los_root(np.array(sv))
-    assert 0.0 < root < math.pi / 2
-    assert abs(hopf._los_residual(np.array(sv), root)) <= 1e-12
+    # 20 stacks of 40 rows; the rows with a unique root are checked at once
+    l1, l2, l3 = (sv * sv).T
+    sv = sv[(l1 + l2 + l3 > 3.0) & (l1 * l2 + l1 * l3 + l2 * l3 > 3.0 * l1 * l2 * l3)]
+    assume(len(sv) > 0)
+    root = hopf._los_root(sv)
+    assert np.all((0.0 < root) & (root < math.pi / 2))
+    assert np.max(np.abs(hopf._los_residual(sv, root))) <= 1e-12
 
 
 def test_rows_without_a_unique_root_give_nan():
@@ -443,25 +436,31 @@ def test_general_vs_reduced_is_scale_free(profile_542):
     assert gap > 0.1
 
 
-def test_general_residual_on_cone(cone_profile_322, p322):
-    cone = cone_profile_322
-    cone_bounded = type(cone)(cone.params)
-    cone_bounded.r_min, cone_bounded.r_max = 0.5, 50.0
-    for x in _random_unit_vectors(5, seed=29):
-        assert L.general_ode_residual(cone_bounded, x) < 1e-14
+def test_general_residual_on_cone(cone_profile_322):
+    # the cone solves the general equation on the sampled singular values, in
+    # scale-free form r |gen| / (|phi| + |psi|), on radii in [0.5, 50]
+    radii = np.geomspace(0.5, 50.0, 20)
+    rho, rho_r, rho_rr = cone_profile_322.values_at(radii)
+    phi = rho / radii
+    size = np.abs(phi) + np.abs(rho_r - phi)
+    for sv in _sampled_singular_values(5, 29):
+        gen = radial_residual(rho, rho_r, rho_rr, radii, [(float(s) ** 2, 1) for s in sv])
+        assert np.max(radii * np.abs(gen) / size) < 1e-14
 
 
 def test_general_residual_is_scale_free(profile_322):
-    # per point and radius, r |gen| / (|phi| + |psi|) with phi = rho/r, psi = rho_r - phi
-    xs = _random_unit_vectors(20, 0)
+    # per point and radius, r |gen - red| / (|phi| + |psi|) with phi = rho/r,
+    # psi = rho_r - phi
+    sample = _sampled_singular_values(20, 0)
     want = 0.0
     for r in np.geomspace(profile_322.r_min, profile_322.r_max, 20).tolist():
         rho, rho_r, rho_rr = (float(v[0]) for v in profile_322.values_at([r]))
         phi = rho / r
-        for sv in L.singular_value_sample(xs).singular_values:
+        red = L.ode1_residual(rho, rho_r, rho_rr, r, profile_322.params)
+        for sv in sample:
             gen = radial_residual(rho, rho_r, rho_rr, r, [(float(s) ** 2, 1) for s in sv])
-            want = max(want, r * abs(gen) / (abs(phi) + abs(rho_r - phi)))
-    assert math.isclose(L.general_ode_residual(profile_322, xs), want, rel_tol=1e-12)
+            want = max(want, r * abs(gen - red) / (abs(phi) + abs(rho_r - phi)))
+    assert math.isclose(hopf._reduced_gap(profile_322, sample), want, rel_tol=1e-12)
 
 
 def test_report_fails_the_jet_check_for_a_perturbed_singular_value(monkeypatch, profile_322):
