@@ -14,7 +14,7 @@ import numpy as np
 
 import loclab as L
 from loclab.dynamics import CaseId, EventKind, Terminal, radial_residual
-from loclab.hopf import _los_residual, _random_unit_vectors
+from loclab.hopf import _los_residual, _random_unit_vectors, _submersion_residuals
 from conftest import SWEEP, ConeProfile
 
 
@@ -152,14 +152,16 @@ def test_criterion_08_nonminimizing(profile_324, orbit_324, p324):
 
 def test_criterion_09_hopf(profile_322, p322):
     xs = _random_unit_vectors(1000, seed=0)
+    # J^T f = 0 and J J^T = lambda^2 (I - f f^T) bound the deviation of the
+    # singular values from (2, 2, 0)
     sv_dev = 0.0
     for x in xs:
-        sv = L.singular_value_sample(x).singular_values
-        sv_dev = max(sv_dev, abs(sv[0] - 2), abs(sv[1] - 2), abs(sv[2]))
+        s = L.singular_value_sample(x)
+        sv_dev = max(sv_dev, *(float(r) for r in _submersion_residuals(s, p322.lambda2_float)))
     ok = sv_dev < 1e-9
     theta_star = math.acos(2 / 3)
-    sv100 = L.singular_value_sample(xs[:100]).singular_values
-    ok &= float(np.max(np.abs(_los_residual(sv100, theta_star)))) < 1e-9
+    squares = np.linalg.eigvalsh(L.singular_value_sample(xs[:100]).gram)
+    ok &= float(np.max(np.abs(_los_residual(squares, theta_star)))) < 1e-9
     ok &= abs(L.los_angle_root(xs[0]) - theta_star) < 1e-9
     ok &= max(
         L.general_vs_lomse_deviation(profile_322, x) for x in xs[:20]
@@ -169,9 +171,9 @@ def test_criterion_09_hopf(profile_322, p322):
     rng = np.random.default_rng(1)
     jet_dev = 0.0
     for x in xs[:100]:
-        sv = L.singular_value_sample(x).singular_values
+        squares = np.linalg.eigvalsh(L.singular_value_sample(x).gram)
         r, rho, rho_r, rho_rr = rng.uniform(0.3, 3.0, 4)
-        gen = radial_residual(rho, rho_r, rho_rr, r, [(float(s) ** 2, 1) for s in sv])
+        gen = radial_residual(rho, rho_r, rho_rr, r, [(float(lj), 1) for lj in squares])
         jet_dev = max(jet_dev, abs(gen - L.ode1_residual(rho, rho_r, rho_rr, r, p322)))
     ok &= jet_dev < 1e-12
     _report(9, "Hopf singular values, angle condition and equation agreement", ok)

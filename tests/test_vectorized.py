@@ -108,11 +108,11 @@ def test_batched_crossings_match_brute_force(orbit_324, p324):
 def test_batched_singular_values_match_per_sample():
     xs = _random_unit_vectors(200, seed=41)
     batch = L.singular_value_sample(xs)
-    assert batch.singular_values.shape == (200, 3)
+    assert batch.gram.shape == (200, 3, 3)
     assert batch.jacobian.shape == (200, 3, 4) and batch.fx.shape == (200, 3)
     each = [L.singular_value_sample(x) for x in xs]
-    ref = np.array([s.singular_values for s in each])
-    assert np.max(np.abs(batch.singular_values - ref)) <= 1e-15
+    ref = np.array([s.gram for s in each])
+    assert np.max(np.abs(batch.gram - ref)) <= 1e-15
     assert np.max(np.abs(batch.fx - [s.fx for s in each])) <= 1e-15
     with pytest.raises(L.NotOnSphere):
         L.singular_value_sample(np.vstack([xs[:3], [[0.5, 0.0, 0.0, 0.0]]]))
